@@ -31,7 +31,8 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     cols = a.shape[1]
     if a.shape[0] == 0:
         return np.eye(cols)
-    _, sigma, vh = np.linalg.svd(a, full_matrices=True)
+    # A wide matrix needs the full V for its kernel; U is never needed beyond thin.
+    _, sigma, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     if sigma.size == 0 or sigma[0] == 0.0:
         rank = 0
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     LengthMismatch,
     NotAnAutomorphism,
     NotInSymmetryClass,
+    UnknownName,
 )
 from .graphs import (
     AUTOMORPHISM_CAP,
@@ -65,16 +67,10 @@ class TypeCatalog:
 
     @property
     def count(self) -> int:
-        total = 1
-        for s in self.valid_sets:
-            total *= len(s)
-        return total
+        return prod(len(s) for s in self.valid_sets)
 
     def normalized_count(self) -> int:
-        total = 1
-        for s in self.valid_sets[1:]:
-            total *= len(s)
-        return total
+        return prod(len(s) for s in self.valid_sets[1:])
 
 
 def identity_type(group: SymmetryGroup, n: int) -> TypeAssignment:
@@ -174,9 +170,7 @@ def enumerate_types(
     slots = list(catalog.valid_sets)
     if normalized:
         slots[0] = (Permutation.identity(graph.n),)
-    total = 1
-    for s in slots:
-        total *= len(s)
+    total = prod(len(s) for s in slots)
     if total > max_product:
         raise ExplosionGuard(f"{total} type assignments exceed the guard of {max_product}")
     types = [TypeAssignment(combo) for combo in product(*slots)]
@@ -184,15 +178,18 @@ def enumerate_types(
 
 
 def is_homomorphism(group: SymmetryGroup, phi: TypeAssignment) -> bool:
-    """True iff phi respects the group product: phi(x y) = phi(x) phi(y)."""
+    """True iff phi respects the group product: phi(x y) = phi(x) phi(y).
+
+    One comparison per row i of the product table covers every pair (x_i, x_j).
+    """
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    for i in range(len(group)):
-        for j in range(len(group)):
-            k = group.multiply(i, j)
-            if phi[k] != phi[i].compose(phi[j]):
-                return False
-    return True
+    if len({len(perm) for perm in phi.images}) != 1:
+        raise LengthMismatch("type images act on different numbers of vertices")
+    if np.any(group.table < 0):
+        raise UnknownName(f"{group.name or 'group'} is not closed under products")
+    images = np.array([perm.images for perm in phi.images])
+    return all(np.array_equal(images[row], images[i][images]) for i, row in enumerate(group.table))
 
 
 def find_homomorphic_type(
@@ -222,7 +219,4 @@ def restrict_type(group: SymmetryGroup, phi: TypeAssignment, subgroup: SymmetryG
     """Restrict a type along a subgroup inclusion, matching elements by matrix."""
     if group.dim != subgroup.dim:
         raise DimensionMismatch("subgroup dimension differs")
-    images = []
-    for op in subgroup.elements:
-        images.append(phi[group.index_of(op.matrix)])
-    return TypeAssignment(tuple(images))
+    return TypeAssignment(tuple(phi[group.index_of(op.matrix)] for op in subgroup.elements))

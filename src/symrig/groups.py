@@ -18,6 +18,7 @@ Group elements are canonicalized by snapping entries that are within
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import atan2, cos, degrees, pi, sin, sqrt
@@ -50,6 +51,8 @@ class OrthogonalOp:
             raise NonOrthogonalGenerator(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] not in (2, 3):
             raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {m.shape[0]}")
+        if not np.all(np.isfinite(m)):
+            raise NonOrthogonalGenerator("matrix entries must be finite numbers")
         if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-9:
             raise NonOrthogonalGenerator("matrix is not orthogonal within 1e-9")
         if abs(abs(float(np.linalg.det(m))) - 1.0) > 1e-9:
@@ -100,16 +103,25 @@ class LinearSubspace:
         return bool(np.linalg.norm(v - self.project(v)) <= tol * scale)
 
 
+def _match(candidates: np.ndarray, stack: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:
+    """For each candidate matrix, the index of the first stack entry within tol, or -1."""
+    close = np.abs(candidates[:, None] - stack[None]).max(axis=(2, 3)) <= tol
+    return np.where(close.any(axis=1), close.argmax(axis=1), -1)
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A finite orthogonal group; element 0 is always the identity."""
+    """A finite orthogonal group; element 0 is always the identity.
+
+    table[i, j] indexes the product of elements i and j, or is -1 if it is missing.
+    """
 
     dim: int
     elements: tuple[OrthogonalOp, ...]
     name: str = ""
+    table: np.ndarray = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
     _by_label: dict = field(init=False, repr=False)
-    _mul_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -117,9 +129,11 @@ class SymmetryGroup:
         if not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
         stack = np.stack([op.matrix for op in self.elements])
+        table = np.stack([_match(m @ stack, stack) for m in stack])
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_by_label", {op.label: i for i, op in enumerate(self.elements)})
-        object.__setattr__(self, "_mul_cache", {})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -135,10 +149,9 @@ class SymmetryGroup:
         return self._stack
 
     def index_of(self, matrix: np.ndarray, tol: float = MATCH_TOL) -> int:
-        diffs = np.max(np.abs(self._stack - np.asarray(matrix, dtype=float)), axis=(1, 2))
-        idx = int(np.argmin(diffs))
-        if diffs[idx] > tol:
-            raise UnknownName(f"matrix is not an element of {self.name or 'group'} (best match off by {diffs[idx]:.2e})")
+        idx = int(_match(np.asarray(matrix, dtype=float)[None], self._stack, tol)[0])
+        if idx < 0:
+            raise UnknownName(f"matrix is not an element of {self.name or 'group'}")
         return idx
 
     def label_index(self, label: str) -> int:
@@ -147,13 +160,16 @@ class SymmetryGroup:
         return self._by_label[label]
 
     def multiply(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._mul_cache:
-            self._mul_cache[key] = self.index_of(self._stack[i] @ self._stack[j])
-        return self._mul_cache[key]
+        k = int(self.table[i, j])
+        if k < 0:
+            raise UnknownName(f"product of elements {i} and {j} is not an element of {self.name or 'group'}")
+        return k
 
     def inverse_index(self, i: int) -> int:
-        return self.index_of(self._stack[i].T)
+        hits = np.flatnonzero(self.table[i] == 0)
+        if not hits.size:
+            raise UnknownName(f"element {i} has no inverse in {self.name or 'group'}")
+        return int(hits[0])
 
     def __repr__(self) -> str:
         return f"SymmetryGroup({self.name or 'unnamed'}, dim={self.dim}, order={len(self)})"
@@ -293,9 +309,7 @@ def _base_label(m: np.ndarray, dim: int) -> str:
 def _assign_labels(mats: list[np.ndarray], dim: int, overrides: dict[int, str] | None = None) -> list[str]:
     overrides = overrides or {}
     base = [overrides.get(i) or _base_label(m, dim) for i, m in enumerate(mats)]
-    counts: dict[str, int] = {}
-    for b in base:
-        counts[b] = counts.get(b, 0) + 1
+    counts = Counter(base)
     seen: dict[str, int] = {}
     out = []
     for b in base:
@@ -317,18 +331,13 @@ def _wrap(mats: list[np.ndarray], dim: int, name: str, overrides: dict[int, str]
 # closure of generated groups
 
 
-def _find(mats: list[np.ndarray], m: np.ndarray, tol: float = MATCH_TOL) -> int | None:
-    for i, e in enumerate(mats):
-        if np.max(np.abs(e - m)) <= tol:
-            return i
-    return None
-
-
 def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closure") -> SymmetryGroup:
     """Close a generator list under products, identity first, no duplicates.
 
-    Breadth-first closure with snapping after every product; aborts with
-    NotClosedWithinBound once more than max_order elements appear.
+    Breadth-first, in order of first appearance: element g is multiplied by
+    g and every element before it (g e, then e g), and a snapped product is
+    kept if it matches no element found so far. Raises NotClosedWithinBound
+    once more than max_order distinct elements exist.
     """
     gens = [g.matrix if isinstance(g, OrthogonalOp) else np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -336,21 +345,23 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     dims = {g.shape for g in gens}
     if len(dims) != 1:
         raise DimensionMismatch(f"generators of mixed shapes {sorted(dims)}")
-    checked = [OrthogonalOp(g).matrix for g in gens]
-    dim = checked[0].shape[0]
-    elems: list[np.ndarray] = [np.eye(dim)]
-    frontier = list(checked)
-    while frontier:
-        g = frontier.pop(0)
-        if _find(elems, g) is not None:
-            continue
-        elems.append(g)
-        if len(elems) > max_order:
-            raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
-        for e in elems:
-            frontier.append(snap_matrix(g @ e))
-            frontier.append(snap_matrix(e @ g))
-    return _wrap(elems, dim, name)
+    checked = np.stack([OrthogonalOp(g).matrix for g in gens])
+    dim = checked.shape[1]
+    found = np.empty((max_order + 1, dim, dim))
+    found[0] = np.eye(dim)
+    count, head, batch = 1, 1, checked
+    while True:
+        for m in batch[_match(batch, found[:count]) < 0]:
+            if _match(m[None], found[:count])[0] < 0:  # skip repeats within the batch
+                if count >= max_order:
+                    raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
+                found[count] = m
+                count += 1
+        if head == count:
+            return _wrap(list(found[:count]), dim, name)
+        head += 1
+        reached, g = found[:head], found[head - 1]
+        batch = snap_matrix(np.stack([g @ reached, reached @ g], axis=1).reshape(-1, dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +493,7 @@ def schoenflies_group(
     if family in _POLYHEDRAL_GENS:
         reject({"mirror_angle": mirror_angle, "axis": axis,
                 "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
-        group = close_group(_POLYHEDRAL_GENS[family](), max_order=MAX_GROUP_ORDER, name=display)
-        return group
+        return close_group(_POLYHEDRAL_GENS[family](), name=display)
     if family == "C1":
         reject({"mirror_angle": mirror_angle, "axis": axis,
                 "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
@@ -555,19 +565,15 @@ def validate_group(group: SymmetryGroup, ortho_tol: float = 1e-12, match_tol: fl
             raise ValueError(f"element {i} ({op.label}) fails orthogonality at {ortho_tol}")
         if abs(abs(np.linalg.det(m)) - 1.0) > ortho_tol * 10:
             raise ValueError(f"element {i} ({op.label}) has non-unit determinant")
-    for i in range(count):
-        for j in range(i + 1, count):
-            if np.max(np.abs(stack[i] - stack[j])) <= match_tol:
-                raise ValueError(f"elements {i} and {j} coincide")
-    for i in range(count):
-        try:
-            group.inverse_index(i)
-        except UnknownName:
-            raise ValueError(f"inverse of element {i} is missing") from None
-        for j in range(count):
-            try:
-                group.multiply(i, j)
-            except UnknownName:
-                raise ValueError(f"product of elements {i} and {j} is missing") from None
+    first = _match(stack, stack, match_tol)
+    dup = np.flatnonzero(first != np.arange(count))
+    if dup.size:
+        j = int(dup[np.argmin(first[dup])])
+        raise ValueError(f"elements {first[j]} and {j} coincide")
+    for i, row in enumerate(group.table):
+        if not np.any(row == 0):
+            raise ValueError(f"inverse of element {i} is missing")
+        if np.any(row < 0):
+            raise ValueError(f"product of elements {i} and {int(np.argmin(row))} is missing")
     if len(set(group.labels)) != count:
         raise ValueError("element labels are not unique")

@@ -17,7 +17,7 @@ from math import comb, lcm
 import numpy as np
 
 from ._numeric import kernel_basis
-from .classify import TypeAssignment
+from .classify import MAX_TYPE_PRODUCT, TypeAssignment
 from .errors import CapExceeded, ExplosionGuard, NotInSymmetryClass, NotRationalizable
 from .graphs import Graph, Permutation
 from .groups import SymmetryGroup
@@ -25,7 +25,6 @@ from .groups import SymmetryGroup
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
 GENERIC_MAX_VERTICES = 4
-MAX_TYPE_PRODUCT = 100_000
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,8 @@ def parse_problem(data: dict) -> ProblemFile:
         for v in labels:
             point = raw[v]
             _expect(isinstance(point, list) and len(point) == dim
-                    and all(isinstance(c, (int, float)) for c in point),
-                    f"'coords' entry for {v} must be a list of {dim} numbers")
+                    and all(isinstance(c, (int, float)) and math.isfinite(c) for c in point),
+                    f"'coords' entry for {v} must be a list of {dim} finite numbers")
             rows.append([float(c) for c in point])
         coords = np.array(rows, dtype=float)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "Framework",
     "RigidityReport",
     "rigidity_matrix",
-    "numeric_rank",
     "affine_span_dim",
     "trivial_motion_basis",
     "rigidity_verdict",
@@ -44,6 +42,8 @@ class Framework:
             )
         if p.shape[1] not in (2, 3):
             raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {p.shape[1]}")
+        if not np.all(np.isfinite(p)):
+            raise InvalidFramework("coordinates must be finite numbers")
         p.setflags(write=False)
         object.__setattr__(self, "coords", p)
 
@@ -147,9 +147,10 @@ def trivial_motion_basis(framework: Framework) -> np.ndarray:
 def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_tol: float = 1e-8) -> RigidityReport:
     """Decide infinitesimal rigidity, independence, and isostaticity.
 
-    Rigid means rank equals d n - C(d+1, 2), or the graph is complete on
-    affinely independent points. Independent means rank equals the bar
-    count; isostatic means both.
+    Rigid means every infinitesimal motion is trivial: d n - rank equals the
+    dimension of the trivial motions of this configuration (C(d+1, 2) when
+    the affine span has dimension at least d - 1, less otherwise).
+    Independent means rank equals the bar count; isostatic means both.
     """
     framework.validate(framework_tol)
     g = framework.graph
@@ -163,7 +164,7 @@ def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_to
     rank = numeric_rank(rmat, rank_rtol)
     affine = affine_span_dim(p, rank_rtol)
     trivial = numeric_rank(trivial_motion_basis(scaled), rank_rtol)
-    rigid = rank == d * n - comb(d + 1, 2) or (g.is_complete() and affine == n - 1)
+    rigid = d * n - rank == trivial
     independent = rank == g.edge_count
     return RigidityReport(
         rank=rank,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrig.classify import (
     TypeAssignment,
@@ -19,8 +21,8 @@ from symrig.errors import (
     UnknownName,
 )
 from symrig.graphs import Graph, Permutation, parse_cycles
-from symrig.groups import schoenflies_group
-from symrig.problem import load_fixture
+from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
+from symrig.problem import fixture_names, load_fixture
 
 CS = schoenflies_group("Cs", 2)
 C2 = schoenflies_group("C2", 2)
@@ -188,6 +190,64 @@ class TestHomomorphicSearch:
 
     def test_identity_type_is_homomorphism(self):
         assert is_homomorphism(C2, identity_type(C2, 5))
+
+    def test_ragged_images_rejected(self):
+        phi = TypeAssignment((Permutation.identity(3), Permutation.identity(4)))
+        with pytest.raises(LengthMismatch):
+            is_homomorphism(C2, phi)
+
+    def test_group_with_missing_product_rejected(self):
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"),
+               OrthogonalOp(mirror2(0.4), "t"))
+        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
+        with pytest.raises(UnknownName):
+            is_homomorphism(broken, identity_type(broken, 3))
+
+
+def reference_is_homomorphism(group, phi):
+    """The pairwise loop the table-based check replaced, matching each product matrix."""
+    mats = group.matrices()
+    return all(phi[group.index_of(mats[i] @ mats[j])] == phi[i].compose(phi[j])
+               for i in range(len(group)) for j in range(len(group)))
+
+
+def regular_type(group):
+    """Left regular action on the element indices: always a homomorphism."""
+    mats = group.matrices()
+    return [Permutation(tuple(group.index_of(m @ e) for e in mats)) for m in mats]
+
+
+class TestHomomorphismAgainstReference:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_types(self, name):
+        graph, coords, group, phi = fixture_framework(name)
+        candidates = [identity_type(group, graph.n)] + ([phi] if phi is not None else [])
+        if coords is not None:
+            candidates += enumerate_types(graph, coords, group, normalized=True)[1][:200]
+        for t in candidates:
+            assert is_homomorphism(group, t) == reference_is_homomorphism(group, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("C1", 2), ("Cs", 2), ("C4", 2), ("C3v", 2), ("D2h", 3), ("S6", 3), ("Td", 3)]),
+           st.data())
+    def test_random_assignments(self, spec, data):
+        group = schoenflies_group(*spec)
+        regular = regular_type(group)
+        order = len(group)
+        if data.draw(st.booleans()):
+            # regular images, some reassigned to other elements: mostly not homomorphisms
+            moved = data.draw(st.lists(st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)),
+                                       max_size=2))
+            images = list(regular)
+            for i, j in moved:
+                images[i] = regular[j]
+        else:
+            n = data.draw(st.integers(1, 4))
+            images = [Permutation(tuple(data.draw(st.permutations(range(n))))) for _ in range(order)]
+            if data.draw(st.booleans()):
+                images = [Permutation.identity(n)] * order
+        phi = TypeAssignment(tuple(images))
+        assert is_homomorphism(group, phi) == reference_is_homomorphism(group, phi)
 
 
 class TestRestriction:

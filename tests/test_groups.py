@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrig._numeric import snap_matrix
 from symrig.errors import (
     BadParam,
     NonOrthogonalGenerator,
@@ -14,6 +15,8 @@ from symrig.errors import (
     UnsupportedDim,
 )
 from symrig.groups import (
+    _POLYHEDRAL_GENS,
+    MATCH_TOL,
     OrthogonalOp,
     SymmetryGroup,
     close_group,
@@ -24,6 +27,7 @@ from symrig.groups import (
     rot2,
     rot3,
     schoenflies_group,
+    _wrap,
     validate_group,
 )
 
@@ -61,6 +65,15 @@ class TestBuilders:
     def test_op_rejects_non_orthogonal(self):
         with pytest.raises(NonOrthogonalGenerator):
             OrthogonalOp(np.array([[1.0, 0.1], [0.0, 1.0]]), "bad")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_op_rejects_non_finite(self, bad):
+        m = np.eye(2)
+        m[0, 1] = bad
+        with pytest.raises(NonOrthogonalGenerator):
+            OrthogonalOp(m, "bad")
+        with pytest.raises(NonOrthogonalGenerator):
+            OrthogonalOp(np.full((3, 3), bad), "bad")
 
     def test_op_rejects_4d(self):
         with pytest.raises(UnsupportedDim):
@@ -292,3 +305,99 @@ class TestGroupMachinery:
         j = data.draw(st.integers(0, len(g) - 1))
         k = data.draw(st.integers(0, len(g) - 1))
         assert g.multiply(g.multiply(i, j), k) == g.multiply(i, g.multiply(j, k))
+
+
+def reference_closure(generators, max_order=200):
+    """List-frontier closure: pop a product, keep it if no element matches.
+
+    Slow, and kept as the reference for the element order (and so the
+    labels) that close_group must reproduce.
+    """
+    checked = [OrthogonalOp(g).matrix for g in generators]
+    elems = [np.eye(checked[0].shape[0])]
+    frontier = list(checked)
+    while frontier:
+        g = frontier.pop(0)
+        if np.any(np.max(np.abs(np.stack(elems) - g), axis=(1, 2)) <= MATCH_TOL):
+            continue
+        elems.append(g)
+        if len(elems) > max_order:
+            raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
+        for e in elems:
+            frontier.append(snap_matrix(g @ e))
+            frontier.append(snap_matrix(e @ g))
+    return _wrap(elems, elems[0].shape[0], "reference")
+
+
+def assert_same_elements(group, reference):
+    assert group.labels == reference.labels
+    assert np.array_equal(group.matrices(), reference.matrices())
+
+
+GOLDEN = (1 + math.sqrt(5)) / 2
+IH_STYLE = [rot3((0, 1, GOLDEN), 2 * math.pi / 5), np.diag([-1.0, -1.0, 1.0]), -np.eye(3),
+            rot3((1, 1, 1), 2 * math.pi / 3), mirror3((1, 0, 0)), rot3((0, 1, GOLDEN), 4 * math.pi / 5)]
+GENERATOR_LISTS = {
+    "ih_shuffled": [IH_STYLE[k] for k in np.random.default_rng(7).permutation(len(IH_STYLE))],
+    "dihedral_2d": [rot2(math.pi / 3), mirror2(0.2)],
+    "two_mirrors_2d": [mirror2(0.3), mirror2(0.3 + math.pi / 5)],
+    "repeats_and_identity": [np.eye(3), rot3((0, 0, 1), math.pi / 2), rot3((0, 0, 1), math.pi / 2),
+                             mirror3((1, 1, 0))],
+}
+
+
+class TestTableClosure:
+    @pytest.mark.parametrize("dim,name", [(2, n) for n in CATALOG_2D + ["C8v"]]
+                             + [(3, n) for n in CATALOG_3D if n not in ("I", "Ih")])
+    def test_catalog_elements_reclosed_in_reference_order(self, dim, name):
+        catalog = schoenflies_group(name, dim)
+        gens = list(catalog.matrices()[:0:-1]) or [np.eye(dim)]
+        assert_same_elements(close_group(gens), reference_closure(gens))
+
+    @pytest.mark.parametrize("name", ["T", "Td", "Th", "O", "Oh"])
+    def test_polyhedral_catalog_matches_reference(self, name):
+        reference = reference_closure(_POLYHEDRAL_GENS[name]())
+        assert_same_elements(schoenflies_group(name, 3), reference)
+
+    @pytest.mark.parametrize("key", sorted(GENERATOR_LISTS))
+    def test_generator_lists_match_reference(self, key):
+        gens = GENERATOR_LISTS[key]
+        assert_same_elements(close_group(gens), reference_closure(gens))
+
+    @pytest.mark.parametrize("max_order", [0, 1, 3, 4, 50])
+    def test_bound_matches_reference(self, max_order):
+        # C4 closes exactly at max_order 4; rot2(1.0) never closes
+        for closure in (close_group, reference_closure):
+            with pytest.raises(NotClosedWithinBound):
+                closure([rot2(1.0)], max_order=max_order)
+        if max_order < 4:
+            for closure in (close_group, reference_closure):
+                with pytest.raises(NotClosedWithinBound):
+                    closure([rot2(math.pi / 2)], max_order=max_order)
+        else:
+            gens = [rot2(math.pi / 2)]
+            assert_same_elements(close_group(gens, max_order=max_order), reference_closure(gens, max_order))
+
+    @pytest.mark.parametrize("name", ["C6v", "D3h", "Oh"])
+    def test_table_matches_matrix_products(self, name):
+        g = schoenflies_group(name, 3 if name != "C6v" else 2)
+        mats = g.matrices()
+        for i in range(len(g)):
+            assert [g.index_of(mats[i] @ m) for m in mats] == list(g.table[i])
+            assert g.inverse_index(i) == g.index_of(mats[i].T)
+        with pytest.raises(ValueError):
+            g.table[0, 0] = 1
+
+    def test_missing_product_stored_as_minus_one(self):
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"),
+               OrthogonalOp(mirror2(0.4), "t"))
+        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
+        assert broken.table[1, 2] == -1
+        with pytest.raises(UnknownName):
+            broken.multiply(1, 2)
+        with pytest.raises(ValueError, match="product of elements 1 and 2 is missing"):
+            validate_group(broken)
+
+    def test_index_of_unknown_matrix(self):
+        with pytest.raises(UnknownName):
+            schoenflies_group("C4", 2).index_of(rot2(1.0))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrig._numeric import numeric_rank
+from symrig._numeric import kernel_basis, numeric_rank
 from symrig.classify import enumerate_types, find_base_type
 from symrig.errors import CapExceeded, NotInSymmetryClass, NotRationalizable
 from symrig.graphs import Graph, Permutation
@@ -104,6 +104,17 @@ class TestKernelOracle:
         rng = np.random.default_rng(seed)
         m = rng.integers(-4, 5, size=(rows, cols)).astype(float)
         assert kernel_oracle(m) == cols - numeric_rank(m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 10**6))
+    def test_kernel_basis_tall_and_wide(self, rows, cols, seed):
+        # tall stacks take the thin SVD, wide ones the full V
+        rng = np.random.default_rng(seed)
+        m = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+        basis = kernel_basis(m)
+        assert basis.shape == (kernel_oracle(m), cols)
+        assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
+        assert np.allclose(m @ basis.T, 0.0)
 
 
 class TestGenericCheck:

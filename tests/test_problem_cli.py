@@ -176,6 +176,12 @@ class TestParseRejections:
         with pytest.raises(ParseError):
             parse_problem(data)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_coords_not_finite(self, bad):
+        data = json.loads(json.dumps(base_problem()).replace("0.6, 0.3", f"{bad}, 0.3"))
+        with pytest.raises(ParseError, match="finite"):
+            parse_problem(data)
+
     def test_bool_seed(self):
         data = base_problem()
         data["seed"] = True

@@ -27,6 +27,13 @@ class TestFramework:
         with pytest.raises(InvalidFramework):
             Framework(TRIANGLE, np.zeros(6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coords_rejected(self, bad):
+        p = np.zeros((3, 2))
+        p[1, 0] = bad
+        with pytest.raises(InvalidFramework):
+            Framework(TRIANGLE, p)
+
     def test_dim_validation(self):
         with pytest.raises(UnsupportedDim):
             Framework(TRIANGLE, np.zeros((3, 4)))
@@ -132,6 +139,20 @@ class TestVerdicts:
         rep = rigidity_verdict(f)
         assert rep.affine_span_dim == 2
         assert rep.infinitesimally_rigid
+
+    def test_two_joints_without_bar_flexible(self):
+        # rank 0 equals 6 - C(4, 2), but two joints span a line: the trivial
+        # motions have dimension 5, so one stretching motion is a flex
+        f = Framework(Graph.make(2, []), np.array([[0.0, 0, 0], [1.0, 0.2, 0.3]]))
+        rep = rigidity_verdict(f)
+        assert rep.rank == 0 and rep.trivial_dim == 5
+        assert not rep.infinitesimally_rigid and not rep.isostatic
+
+    def test_single_bar_in_space_isostatic(self):
+        f = Framework(Graph.make(2, [(0, 1)]), np.array([[0.0, 0, 0], [1.0, 0.2, 0.3]]))
+        rep = rigidity_verdict(f)
+        assert rep.rank == 1 and rep.trivial_dim == 5
+        assert rep.isostatic
 
     def test_degenerate_bar_raises(self):
         with pytest.raises(InvalidFramework):
