@@ -44,8 +44,10 @@ from .oracle import (
     BruteForceTypes,
     GenericCheckReport,
     brute_force_type_search,
+    constraint_stack,
     exhaustive_generic_check,
     kernel_oracle,
+    symmetry_constraint_matrix,
 )
 from .problem import (
     ProblemFile,
@@ -77,7 +79,6 @@ from .symspace import (
     orbit_structure,
     sample_config,
     sym_generic_verdict,
-    symmetry_constraint_matrix,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +99,7 @@ __all__ = [
     "class_is_empty", "sample_config", "draw_samples",
     "orbit_structure", "orbit_sample", "sym_generic_verdict",
     "BruteForceTypes", "GenericCheckReport", "brute_force_type_search",
-    "exhaustive_generic_check", "kernel_oracle",
+    "constraint_stack", "exhaustive_generic_check", "kernel_oracle",
     "ProblemFile", "parse_problem", "serialize_problem", "load_problem",
     "load_fixture", "fixture_path", "fixture_names",
     "render_svg",

@@ -86,6 +86,24 @@ def brute_force_type_search(
     return BruteForceTypes(valid_sets=tuple(valid_sets), types=types, normalized=normalized)
 
 
+def symmetry_constraint_matrix(group: SymmetryGroup, images, x_index: int, n: int) -> np.ndarray:
+    """The (d n) x (d n) block matrix of the constraint for one operation."""
+    pmat = np.eye(n)[list(images[x_index].images)]
+    return np.kron(np.eye(n), group.elements[x_index].matrix) - np.kron(pmat, np.eye(group.dim))
+
+
+def constraint_stack(group: SymmetryGroup, images, n: int) -> np.ndarray:
+    """The class constraints as one dense (|S| d n) x (d n) stack; the identity's only if its image is not."""
+    return np.vstack([np.zeros((0, group.dim * n))] + [
+        symmetry_constraint_matrix(group, images, x, n)
+        for x in range(len(group)) if not (group.elements[x].is_identity() and images[x].is_identity())
+    ])
+
+
+def _stacked_constraints(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> np.ndarray:
+    return constraint_stack(group, phi.images, graph.n)
+
+
 @dataclass(frozen=True)
 class GenericCheckReport:
     """Outcome of the all-minors genericity check."""
@@ -144,17 +162,8 @@ def exhaustive_generic_check(
     if peak > 0:
         p = p / peak
 
-    # constraint stack for the class, built here rather than imported
-    blocks = []
-    for op, perm in zip(group.elements, images):
-        if op.is_identity() and perm.is_identity():
-            continue
-        pmat = np.zeros((n, n))
-        for i in range(n):
-            pmat[i, perm(i)] = 1.0
-        blocks.append(np.kron(np.eye(n), op.matrix) - np.kron(pmat, np.eye(d)))
-    stack = np.vstack(blocks) if blocks else np.zeros((0, d * n))
-    if blocks and np.max(np.abs(stack @ p.reshape(-1))) > 1e-7:
+    stack = constraint_stack(group, images, n)
+    if np.max(np.abs(stack @ p.reshape(-1)), initial=0.0) > 1e-7:
         raise NotInSymmetryClass("configuration violates the class constraints")
     space = kernel_basis(stack)
 

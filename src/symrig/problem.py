@@ -47,6 +47,14 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _finite(c) -> bool:
+    """A JSON number that converts to a finite float; an integer literal may be too large to."""
+    try:
+        return isinstance(c, (int, float)) and math.isfinite(c)
+    except OverflowError:
+        return False
+
+
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     extra = sorted(set(data) - allowed)
     if extra:
@@ -63,7 +71,7 @@ def _parse_group(spec, dim: int) -> SymmetryGroup:
         _expect(isinstance(gens, list) and gens, "'generators' must be a non-empty list of matrices")
         try:
             mats = [np.asarray(g, dtype=float) for g in gens]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("'generators' entries must be numeric matrices") from None
         for g in mats:
             _expect(g.shape == (dim, dim), f"generator shape {g.shape} does not match dim {dim}")
@@ -82,14 +90,13 @@ def _parse_group(spec, dim: int) -> SymmetryGroup:
         _expect(isinstance(params["m"], int) and not isinstance(params["m"], bool), "'m' must be an integer")
         kwargs["m"] = params["m"]
     if "mirror_angle_deg" in params:
-        _expect(isinstance(params["mirror_angle_deg"], (int, float)), "'mirror_angle_deg' must be a number")
+        _expect(_finite(params["mirror_angle_deg"]), "'mirror_angle_deg' must be a finite number")
         kwargs["mirror_angle"] = math.radians(float(params["mirror_angle_deg"]))
     for key in ("axis", "secondary_axis", "mirror_normal"):
         if key in params:
             vec = params[key]
-            _expect(isinstance(vec, list) and len(vec) == dim
-                    and all(isinstance(c, (int, float)) for c in vec),
-                    f"'{key}' must be a list of {dim} numbers")
+            _expect(isinstance(vec, list) and len(vec) == dim and all(_finite(c) for c in vec),
+                    f"'{key}' must be a list of {dim} finite numbers")
             kwargs[key] = vec
     try:
         return schoenflies_group(name, dim, **kwargs)
@@ -176,8 +183,7 @@ def parse_problem(data: dict) -> ProblemFile:
         rows = []
         for v in labels:
             point = raw[v]
-            _expect(isinstance(point, list) and len(point) == dim
-                    and all(isinstance(c, (int, float)) and math.isfinite(c) for c in point),
+            _expect(isinstance(point, list) and len(point) == dim and all(_finite(c) for c in point),
                     f"'coords' entry for {v} must be a list of {dim} finite numbers")
             rows.append([float(c) for c in point])
         coords = np.array(rows, dtype=float)

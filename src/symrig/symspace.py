@@ -1,15 +1,13 @@
 """The symmetric configuration space of a class and generic sampling.
 
-For a group operation x with assigned automorphism alpha, a configuration
-p (stacked joint coordinates) lies in the class exactly when
-
-    blockdiag(M_x, ..., M_x) p = (P_alpha kron I_d) p    for every x,
-
-so the space U of all such configurations is the kernel of the stacked
-constraint matrix. Almost every point of U realizes the maximal rank the
-class can attain, which makes one sampled witness a sound certificate for
-rigidity properties of the whole class; negative verdicts from sampling
-remain probabilistic.
+A configuration p lies in the class of a type phi exactly when
+M_x p_v = p_{phi_x(v)} for every operation x and joint v. Each constraint
+couples a joint only with its own image, so the space U of such
+configurations is a direct sum over the orbits of the permutation group
+the images generate, and its basis is built one orbit at a time. Almost
+every point of U realizes the maximal rank the class can attain, which
+makes one sampled witness a sound certificate for rigidity properties of
+the whole class; negative verdicts from sampling remain probabilistic.
 """
 
 from __future__ import annotations
@@ -33,33 +31,20 @@ from .rigidity import Framework, rigidity_verdict
 KERNEL_RTOL = 1e-9
 
 
-def symmetry_constraint_matrix(group: SymmetryGroup, phi: TypeAssignment, x_index: int, n: int) -> np.ndarray:
-    """The (d n) x (d n) block matrix of the constraint for one operation."""
-    op = group.elements[x_index]
-    d = group.dim
-    perm = phi[x_index]
-    block = np.kron(np.eye(n), op.matrix)
-    pmat = np.zeros((n, n))
-    for i in range(n):
-        pmat[i, perm(i)] = 1.0
-    return block - np.kron(pmat, np.eye(d))
-
-
-def _stacked_constraints(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> np.ndarray:
-    if len(phi) != len(group):
-        raise NotAnAutomorphism(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    for op, perm in zip(group.elements, phi.images):
-        if not is_automorphism(graph, perm):
-            raise NotAnAutomorphism(f"image for {op.label} is not an automorphism")
-    blocks = []
-    for x in range(len(group)):
-        if x == 0 and phi[0].is_identity():
+def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group the images generate, each sorted, ordered by least vertex."""
+    orbits, seen = [], set()
+    for v in range(n):
+        if v in seen:
             continue
-        blocks.append(symmetry_constraint_matrix(group, phi, x, graph.n))
-    dn = group.dim * graph.n
-    if not blocks:
-        return np.zeros((0, dn))
-    return np.vstack(blocks)
+        orbit = [v]
+        seen.add(v)
+        for w in orbit:
+            fresh = {perm.images[w] for perm in images} - seen
+            seen |= fresh
+            orbit.extend(fresh)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +72,30 @@ class ConfigSpaceBasis:
 
 
 def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment, rtol: float = KERNEL_RTOL) -> ConfigSpaceBasis:
-    """Orthonormal kernel basis of the stacked symmetry constraints.
+    """Orthonormal basis of the class space, one orbit at a time.
 
-    The identity operation contributes a block only if its assigned
-    automorphism is not the identity permutation. With no constraints at
-    all the basis is the canonical one for the full configuration space.
+    An orbit's block is its constraints restricted to its own joints; rtol is relative to
+    that block's largest singular value. The identity takes part only if its image is not.
     """
-    stack = _stacked_constraints(graph, group, phi)
-    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=kernel_basis(stack, rtol))
+    if len(phi) != len(group):
+        raise NotAnAutomorphism(f"type assigns {len(phi)} images for a group of order {len(group)}")
+    for op, perm in zip(group.elements, phi.images):
+        if not is_automorphism(graph, perm):
+            raise NotAnAutomorphism(f"image for {op.label} is not an automorphism")
+    d, n = group.dim, graph.n
+    first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
+    mats = group.matrices()[first:]
+    images = np.array([perm.images for perm in phi.images[first:]], dtype=int).reshape(len(mats), n)
+    rows = [np.zeros((0, n, d))]
+    for orbit in _orbits(n, phi.images):
+        m = len(orbit)
+        # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
+        perm = np.eye(m)[np.searchsorted(orbit, images[:, orbit])]
+        block = np.einsum("ij,xab->xiajb", np.eye(m), mats) - np.einsum("xij,ab->xiajb", perm, np.eye(d))
+        kernel = kernel_basis(block.reshape(-1, m * d), rtol)
+        rows.append(np.zeros((len(kernel), n, d)))
+        rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
+    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=np.concatenate(rows).reshape(-1, d * n))
 
 
 def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignment, coords: np.ndarray) -> float:
@@ -199,29 +200,17 @@ def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> 
     """
     if not is_homomorphism(group, phi):
         raise NotAHomomorphism("orbit structure needs a homomorphic type")
-    n = graph.n
-    seen = [False] * n
-    orbits = []
-    reps = []
+    orbits = _orbits(graph.n, phi.images)
     spaces = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orbit = sorted({phi[x](v) for x in range(len(group))})
-        for w in orbit:
-            seen[w] = True
+    for orbit in orbits:
         stabilizer_rows = []
         for x in range(len(group)):
-            if phi[x](v) == v:
+            if phi[x](orbit[0]) == orbit[0]:
                 stabilizer_rows.append(group.elements[x].matrix - np.eye(group.dim))
-        if stabilizer_rows:
-            space = LinearSubspace(group.dim, kernel_basis(np.vstack(stabilizer_rows), KERNEL_RTOL))
-        else:
-            space = LinearSubspace(group.dim, np.eye(group.dim))
-        orbits.append(tuple(orbit))
-        reps.append(v)
-        spaces.append(space)
-    return OrbitStructure(graph=graph, orbits=tuple(orbits), representatives=tuple(reps), fixed_spaces=tuple(spaces))
+        # A homomorphic type maps the identity to the identity, so the rows are never empty.
+        spaces.append(LinearSubspace(group.dim, kernel_basis(np.vstack(stabilizer_rows), KERNEL_RTOL)))
+    reps = tuple(orbit[0] for orbit in orbits)
+    return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
 
 
 def _ball_point(space: LinearSubspace, rng: np.random.Generator) -> np.ndarray:

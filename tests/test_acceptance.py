@@ -20,11 +20,10 @@ from symrig.classify import (
 )
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import schoenflies_group, validate_group
-from symrig.oracle import brute_force_type_search, exhaustive_generic_check, kernel_oracle
+from symrig.oracle import _stacked_constraints, brute_force_type_search, exhaustive_generic_check, kernel_oracle
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import Framework, rigidity_verdict
 from symrig.symspace import (
-    _stacked_constraints,
     class_is_empty,
     config_space_basis,
     constraint_residual,

@@ -9,13 +9,13 @@ from symrig.errors import CapExceeded, NotInSymmetryClass, NotRationalizable
 from symrig.graphs import Graph, Permutation
 from symrig.groups import schoenflies_group
 from symrig.oracle import (
+    _stacked_constraints,
     brute_force_type_search,
     exhaustive_generic_check,
     kernel_oracle,
 )
 from symrig.problem import fixture_names, load_fixture
 from symrig.symspace import (
-    _stacked_constraints,
     config_space_basis,
     draw_samples,
 )

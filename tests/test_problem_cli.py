@@ -182,6 +182,42 @@ class TestParseRejections:
         with pytest.raises(ParseError, match="finite"):
             parse_problem(data)
 
+    def test_coords_integer_too_large_for_a_float(self, tmp_path, capsys):
+        data = base_problem()
+        data["coords"]["v1"] = [10**400, 0.3]
+        with pytest.raises(ParseError, match="finite"):
+            parse_problem(data)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, "analyze", "--problem", str(path))
+        assert code == 3
+        assert "finite" in json.loads(out)["error"]
+
+    def test_generator_integer_too_large_for_a_float(self):
+        data = base_problem()
+        data["group"] = {"generators": [[[10**400, 0], [0, -1]]]}
+        with pytest.raises(ParseError, match="generators"):
+            parse_problem(data)
+
+    @pytest.mark.parametrize(
+        "dim, group",
+        [
+            (2, '{"schoenflies": "Cs", "params": {"mirror_angle_deg": NaN}}'),
+            (2, '{"schoenflies": "Cs", "params": {"mirror_angle_deg": Infinity}}'),
+            (2, '{"schoenflies": "Cs", "params": {"mirror_angle_deg": 1%s}}' % ("0" * 400)),
+            (3, '{"schoenflies": "C2", "params": {"axis": [0, NaN, 1]}}'),
+            (3, '{"schoenflies": "D2", "params": {"secondary_axis": [NaN, 0, 0]}}'),
+            (3, '{"schoenflies": "Cs", "params": {"mirror_normal": [0, -Infinity, 0]}}'),
+        ],
+        ids=["angle-nan", "angle-inf", "angle-huge-int", "axis-nan", "secondary-axis-nan", "normal-inf"],
+    )
+    def test_group_param_not_finite(self, dim, group):
+        spec = json.loads(group)
+        field = next(iter(spec["params"]))
+        data = {"dim": dim, "vertices": ["v1"], "edges": [], "group": spec}
+        with pytest.raises(ParseError, match=f"'{field}' must be .*finite"):
+            parse_problem(data)
+
     def test_bool_seed(self):
         data = base_problem()
         data["seed"] = True

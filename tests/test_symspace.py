@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symrig.classify import TypeAssignment, identity_type
+from symrig._numeric import kernel_basis
+from symrig.classify import TypeAssignment, identity_type, is_homomorphism
 from symrig.errors import NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import schoenflies_group
-from symrig.problem import load_fixture
+from symrig.oracle import constraint_stack, symmetry_constraint_matrix
+from symrig.problem import fixture_names, load_fixture
 from symrig.symspace import (
+    _orbits,
     class_is_empty,
     config_space_basis,
     constraint_residual,
@@ -17,11 +22,20 @@ from symrig.symspace import (
     orbit_structure,
     sample_config,
     sym_generic_verdict,
-    symmetry_constraint_matrix,
 )
 
 C2 = schoenflies_group("C2", 2)
 C3 = schoenflies_group("C3", 2)
+
+SPAN_GROUPS = [
+    schoenflies_group(name, dim)
+    for name, dim in [("C2", 2), ("C3", 2), ("C4", 2), ("Cs", 2), ("C2v", 2), ("C3v", 2),
+                      ("C2", 3), ("Cs", 3), ("Ci", 3), ("C2v", 3), ("D3h", 3)]
+]
+HOMOMORPHIC = [
+    name for name in fixture_names()
+    if (prob := load_fixture(name)).phi is not None and is_homomorphism(prob.group, prob.phi)
+]
 
 
 def fixture_parts(name):
@@ -190,6 +204,29 @@ class TestSampling:
         graph, group, phi, basis = basis_for(name)
         for f in draw_samples(basis, 4, seed=2):
             assert constraint_residual(basis, group, phi, f.coords) < 1e-9
+
+
+class TestOrbitBlockedBasis:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SPAN_GROUPS), st.integers(1, 6), st.data())
+    def test_span_matches_dense_reference(self, group, n, data):
+        # Every permutation is an automorphism of an edgeless graph, so random
+        # per-element images are valid types, most of them not homomorphic.
+        images = [Permutation(tuple(data.draw(st.permutations(range(n))))) for _ in group.elements]
+        if data.draw(st.booleans()):
+            images[0] = Permutation.identity(n)
+        phi = TypeAssignment(tuple(images))
+        basis = config_space_basis(Graph.make(n, []), group, phi).basis
+        dense = kernel_basis(constraint_stack(group, phi.images, n))
+        assert basis.shape == dense.shape
+        assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
+        assert np.allclose(basis.T @ basis, dense.T @ dense, atol=1e-9)
+
+    @pytest.mark.parametrize("name", HOMOMORPHIC)
+    def test_orbits_are_the_images_of_each_vertex(self, name):
+        graph, group, phi = fixture_parts(name)
+        images = {tuple(sorted({phi[x](v) for x in range(len(group))})) for v in range(graph.n)}
+        assert orbit_structure(graph, group, phi).orbits == _orbits(graph.n, phi.images) == tuple(sorted(images))
 
 
 class TestOrbits:
