@@ -6,9 +6,11 @@ such that moving a joint by x lands on the joint of alpha_x(v):
     x(p(v)) = p(alpha_x(v))   for all vertices v.
 
 Realizations of a graph under a group split into classes indexed by
-these assignments. Given one witness automorphism for x, the full set of
-valid choices for x is its coset by the coincidence automorphisms, so a
-catalog is determined by one base type plus that subgroup.
+these assignments. The joint positions name each vertex's possible
+images, so every operation's set of valid choices is read straight from
+the automorphism search constrained by them. Each such set is a coset of
+the coincidence automorphisms (the identity's valid set), so a catalog
+is determined by one base type plus that subgroup.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .graphs import (
     coincidence_automorphisms,
     format_cycles,
     is_automorphism,
+    joint_matches,
 )
 from .groups import SymmetryGroup
 
@@ -86,6 +89,30 @@ def _check_shapes(graph: Graph, coords: np.ndarray, group: SymmetryGroup) -> np.
     return p
 
 
+def _bars_collapse(graph: Graph, p: np.ndarray, tol: float) -> bool:
+    """True iff some bar has length <= tol, so p is not a framework."""
+    return any(np.linalg.norm(p[u] - p[v]) <= tol for u, v in graph.edges)
+
+
+def _valid_sets(
+    graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: float, cap: int
+) -> tuple[tuple[Permutation, ...], ...] | None:
+    """Per element x, every alpha with x(p(v)) = p(alpha(v)), in lexicographic order.
+
+    Read from the automorphism search with v -> w allowed only when x(p(v))
+    lies within tol of p(w). Element 0 is the identity, whose valid set is
+    the coincidence group. None when p is not a framework or some element
+    has no valid choice.
+    """
+    p = _check_shapes(graph, coords, group)
+    if _bars_collapse(graph, p, tol):
+        return None
+    sets = [tuple(coincidence_automorphisms(graph, p, tol, cap))]
+    for op in group.elements[1:]:
+        sets.append(tuple(automorphisms(graph, cap, allowed=joint_matches(p @ op.matrix.T, p, tol))))
+    return tuple(sets) if all(sets) else None
+
+
 def verify_type(
     graph: Graph,
     coords: np.ndarray,
@@ -102,14 +129,10 @@ def verify_type(
             raise NotAnAutomorphism(
                 f"image for {op.label} is not an automorphism: {format_cycles(perm, graph.labels)}"
             )
-    for u, v in graph.edges:
-        if np.linalg.norm(p[u] - p[v]) <= tol:
-            return False
-    for op, perm in zip(group.elements, phi.images):
-        moved = p @ op.matrix.T
-        if np.max(np.linalg.norm(moved - p[list(perm.images)], axis=1)) > tol:
-            return False
-    return True
+    return not _bars_collapse(graph, p, tol) and all(
+        joint_matches(p @ op.matrix.T, p, tol)[range(graph.n), perm.images].all()
+        for op, perm in zip(group.elements, phi.images)
+    )
 
 
 def find_base_type(
@@ -119,29 +142,13 @@ def find_base_type(
     tol: float = 1e-8,
     cap: int = AUTOMORPHISM_CAP,
 ) -> TypeAssignment | None:
-    """Search one witness automorphism per group element, independently.
+    """The assignment made of the lexicographically first valid choice per element.
 
-    Returns the assignment made of the lexicographically first witness for
-    each element, or None when some element has no witness (the realization
-    does not have the full symmetry) or the configuration is not a framework.
+    None when some element has no valid choice (the realization does not
+    have the full symmetry) or the configuration is not a framework.
     """
-    p = _check_shapes(graph, coords, group)
-    for u, v in graph.edges:
-        if np.linalg.norm(p[u] - p[v]) <= tol:
-            return None
-    auts = automorphisms(graph, cap)
-    images = []
-    for op in group.elements:
-        moved = p @ op.matrix.T
-        witness = None
-        for alpha in auts:
-            if np.max(np.linalg.norm(moved - p[list(alpha.images)], axis=1)) <= tol:
-                witness = alpha
-                break
-        if witness is None:
-            return None
-        images.append(witness)
-    return TypeAssignment(tuple(images))
+    sets = _valid_sets(graph, coords, group, tol, cap)
+    return None if sets is None else TypeAssignment(tuple(s[0] for s in sets))
 
 
 def enumerate_types(
@@ -153,23 +160,17 @@ def enumerate_types(
     cap: int = AUTOMORPHISM_CAP,
     max_product: int = MAX_TYPE_PRODUCT,
 ) -> tuple[TypeCatalog, list[TypeAssignment]]:
-    """All types of a realization: cosets of the coincidence subgroup.
+    """All types of a realization: the product of the per-element valid sets.
 
     With normalized=True the identity operation is pinned to the identity
     automorphism, leaving |Aut(G,p)| ^ (|S| - 1) assignments.
     """
-    base = find_base_type(graph, coords, group, tol, cap)
-    if base is None:
+    sets = _valid_sets(graph, coords, group, tol, cap)
+    if sets is None:
         raise NotInSymmetryClass("the realization admits no type for this group")
-    coincidence = coincidence_automorphisms(graph, np.asarray(coords, dtype=float), tol, cap)
-    valid_sets = []
-    for witness in base.images:
-        coset = sorted(witness.compose(beta) for beta in coincidence)
-        valid_sets.append(tuple(coset))
-    catalog = TypeCatalog(base=base, coincidence_group=tuple(coincidence), valid_sets=tuple(valid_sets))
-    slots = list(catalog.valid_sets)
-    if normalized:
-        slots[0] = (Permutation.identity(graph.n),)
+    base = TypeAssignment(tuple(s[0] for s in sets))
+    catalog = TypeCatalog(base=base, coincidence_group=sets[0], valid_sets=sets)
+    slots = ((Permutation.identity(graph.n),), *sets[1:]) if normalized else sets
     total = prod(len(s) for s in slots)
     if total > max_product:
         raise ExplosionGuard(f"{total} type assignments exceed the guard of {max_product}")

@@ -2,12 +2,14 @@
 
 Vertices are indexed 0..n-1 internally and carry printable labels
 (defaulting to "v1".."vn") used by cycle notation and the file formats.
+The automorphism search can be constrained by joint positions: an
+allowed matrix names each vertex's possible images, so the search lists
+only the automorphisms that move joints onto matching joints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -156,13 +158,21 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
     return True
 
 
-@lru_cache(maxsize=128)
-def _automorphisms_cached(graph: Graph, cap: int) -> tuple[Permutation, ...]:
+def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None) -> list[Permutation]:
+    """Automorphisms of graph in lexicographic order of image sequence.
+
+    allowed, an n x n boolean matrix, constrains the search: allowed[v, w]
+    False forbids v -> w. Backtracking with degree, allowed and
+    partial-adjacency pruning. Exact and deterministic; refuses graphs
+    larger than cap.
+    """
     if graph.n > cap:
         raise CapExceeded(f"automorphism search capped at {cap} vertices, got {graph.n}")
     n = graph.n
     adj = graph.adjacency()
     deg = [len(a) for a in adj]
+    candidates = [[w for w in range(n) if deg[w] == deg[v] and (allowed is None or allowed[v][w])]
+                  for v in range(n)]
     images = [-1] * n
     used = [False] * n
     found: list[Permutation] = []
@@ -171,32 +181,21 @@ def _automorphisms_cached(graph: Graph, cap: int) -> tuple[Permutation, ...]:
         if k == n:
             found.append(Permutation(tuple(images)))
             return
-        for w in range(n):
-            if used[w] or deg[w] != deg[k]:
+        for w in candidates[k]:
+            if used[w] or any((j in adj[k]) != (images[j] in adj[w]) for j in range(k)):
                 continue
-            ok = True
-            for j in range(k):
-                if (j in adj[k]) != (images[j] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                images[k] = w
-                used[w] = True
-                extend(k + 1)
-                used[w] = False
-                images[k] = -1
+            images[k] = w
+            used[w] = True
+            extend(k + 1)
+            used[w] = False
 
     extend(0)
-    return tuple(found)
+    return found
 
 
-def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP) -> list[Permutation]:
-    """All automorphisms of graph in lexicographic order of image sequence.
-
-    Backtracking with degree and partial-adjacency pruning. Exact and
-    deterministic; refuses graphs larger than cap.
-    """
-    return list(_automorphisms_cached(graph, cap))
+def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.ndarray:
+    """The n x n boolean matrix of targets[v] lying within tol of joint coords[w]."""
+    return np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2) <= tol
 
 
 def coincidence_automorphisms(
@@ -205,16 +204,14 @@ def coincidence_automorphisms(
     tol: float = 1e-9,
     cap: int = AUTOMORPHISM_CAP,
 ) -> list[Permutation]:
-    """Automorphisms that fix every joint position: p(alpha(v)) = p(v) within tol."""
+    """Automorphisms that fix every joint position: p(alpha(v)) = p(v) within tol.
+
+    One constrained search: v may go to w only when joint w lies within tol of joint v.
+    """
     p = np.asarray(coords, dtype=float)
     if p.shape[0] != graph.n:
         raise LengthMismatch(f"coordinate rows {p.shape[0]} do not match n={graph.n}")
-    out = []
-    for alpha in automorphisms(graph, cap):
-        moved = p[list(alpha.images)] - p
-        if np.max(np.linalg.norm(moved, axis=1)) <= tol:
-            out.append(alpha)
-    return out
+    return automorphisms(graph, cap, allowed=joint_matches(p, p, tol))
 
 
 def format_cycles(perm: Permutation, labels: tuple[str, ...], include_fixed: bool = False) -> str:

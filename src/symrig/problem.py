@@ -48,11 +48,16 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _finite(c) -> bool:
-    """A JSON number that converts to a finite float; an integer literal may be too large to."""
+    """A JSON number that converts to a finite float: not a boolean, nor an integer too large for a float."""
     try:
-        return isinstance(c, (int, float)) and math.isfinite(c)
+        return isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
     except OverflowError:
         return False
+
+
+def _numbers(value, length: int) -> bool:
+    """A list of `length` finite JSON numbers."""
+    return isinstance(value, list) and len(value) == length and all(_finite(c) for c in value)
 
 
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
@@ -69,14 +74,11 @@ def _parse_group(spec, dim: int) -> SymmetryGroup:
                 "'generators' excludes 'schoenflies' and 'params'")
         gens = spec["generators"]
         _expect(isinstance(gens, list) and gens, "'generators' must be a non-empty list of matrices")
+        for g in gens:
+            _expect(isinstance(g, list) and len(g) == dim and all(_numbers(row, dim) for row in g),
+                    f"'generators' entries must be {dim}x{dim} matrices of finite numbers")
         try:
-            mats = [np.asarray(g, dtype=float) for g in gens]
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("'generators' entries must be numeric matrices") from None
-        for g in mats:
-            _expect(g.shape == (dim, dim), f"generator shape {g.shape} does not match dim {dim}")
-        try:
-            return close_group(mats)
+            return close_group([np.array(g, dtype=float) for g in gens])
         except Exception as exc:
             raise UnknownGroup(f"generator closure failed: {exc}") from exc
     _expect("schoenflies" in spec, "'group' needs 'schoenflies' or 'generators'")
@@ -94,10 +96,8 @@ def _parse_group(spec, dim: int) -> SymmetryGroup:
         kwargs["mirror_angle"] = math.radians(float(params["mirror_angle_deg"]))
     for key in ("axis", "secondary_axis", "mirror_normal"):
         if key in params:
-            vec = params[key]
-            _expect(isinstance(vec, list) and len(vec) == dim and all(_finite(c) for c in vec),
-                    f"'{key}' must be a list of {dim} finite numbers")
-            kwargs[key] = vec
+            _expect(_numbers(params[key], dim), f"'{key}' must be a list of {dim} finite numbers")
+            kwargs[key] = params[key]
     try:
         return schoenflies_group(name, dim, **kwargs)
     except (UnknownName, BadParam) as exc:
@@ -139,7 +139,7 @@ def parse_problem(data: dict) -> ProblemFile:
 
     _expect("dim" in data, "'dim' is required")
     dim = data["dim"]
-    _expect(dim in (2, 3), "'dim' must be 2 or 3")
+    _expect(isinstance(dim, int) and dim in (2, 3), "'dim' must be the integer 2 or 3")
 
     _expect("vertices" in data, "'vertices' is required")
     vertices = data["vertices"]
@@ -182,10 +182,8 @@ def parse_problem(data: dict) -> ProblemFile:
         _expect(not missing, f"'coords' is missing {', '.join(missing)}")
         rows = []
         for v in labels:
-            point = raw[v]
-            _expect(isinstance(point, list) and len(point) == dim and all(_finite(c) for c in point),
-                    f"'coords' entry for {v} must be a list of {dim} finite numbers")
-            rows.append([float(c) for c in point])
+            _expect(_numbers(raw[v], dim), f"'coords' entry for {v} must be a list of {dim} finite numbers")
+            rows.append([float(c) for c in raw[v]])
         coords = np.array(rows, dtype=float)
 
     seed = data.get("seed", 0)

@@ -161,8 +161,7 @@ def sample_config(
     Coefficients are uniform on [-1, 1]^k; draws that collapse a bar are
     rejected. The result satisfies the class constraints by construction.
     """
-    rng = np.random.default_rng(seed)
-    return _draw_config(basis, rng, retries, framework_tol)
+    return draw_samples(basis, 1, seed, retries, framework_tol)[0]
 
 
 def draw_samples(

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symrig.classify import (
@@ -20,8 +22,10 @@ from symrig.errors import (
     NotInSymmetryClass,
     UnknownName,
 )
+from symrig import graphs
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
+from symrig.oracle import brute_force_type_search
 from symrig.problem import fixture_names, load_fixture
 
 CS = schoenflies_group("Cs", 2)
@@ -248,6 +252,133 @@ class TestHomomorphismAgainstReference:
                 images = [Permutation.identity(n)] * order
         phi = TypeAssignment(tuple(images))
         assert is_homomorphism(group, phi) == reference_is_homomorphism(group, phi)
+
+
+SEARCH_GROUPS = {name: schoenflies_group(name, 2) for name in ("C2", "C3", "Cs", "C2v")}
+
+
+def _orbit(group, point):
+    """The distinct images of point under group, in element order."""
+    images = []
+    for m in group.matrices():
+        q = m @ point
+        if all(np.linalg.norm(q - r) > 1e-6 for r in images):
+            images.append(q)
+    return images
+
+
+@st.composite
+def symmetric_instances(draw):
+    """A graph with a placement built from orbits of a 2D group, n <= 7.
+
+    Every joint of an orbit point has up to one coincident partner, and
+    bars are added in orbits under the induced vertex action, so a type
+    exists unless the optional extra bar breaks the symmetry. Bars never
+    join coincident joints, and vertices are shuffled before returning.
+    """
+    group = SEARCH_GROUPS[draw(st.sampled_from(sorted(SEARCH_GROUPS)))]
+    points, copies = [], []
+    seeds = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2))
+    for x, y, mult in draw(st.lists(seeds, min_size=1, max_size=4)):
+        orbit = _orbit(group, np.array([x, y], dtype=float))
+        if len(points) and min(np.linalg.norm(q - r) for q in orbit for r in points) < 1e-6:
+            continue
+        if sum(copies) + mult * len(orbit) <= 7:
+            points += orbit
+            copies += [mult] * len(orbit)
+    assume(points)
+    gaps = [np.linalg.norm(q - r) for i, q in enumerate(points) for r in points[:i]]
+    assume(all(gap > 1e-3 for gap in gaps))
+    joints = [(i, c) for i, mult in enumerate(copies) for c in range(mult)]
+    index = {joint: v for v, joint in enumerate(joints)}
+    # the vertex action of each element: copy c at point i goes to copy c at x(i)
+    actions = []
+    for m in group.matrices():
+        image = [int(np.argmin([np.linalg.norm(m @ q - r) for r in points])) for q in points]
+        actions.append([index[(image[i], c)] for i, c in joints])
+    n = len(joints)
+    apart = [(u, v) for u in range(n) for v in range(u + 1, n) if joints[u][0] != joints[v][0]]
+    edges = set()
+    if apart:
+        for u, v in draw(st.lists(st.sampled_from(apart), max_size=4)):
+            edges.update((min(a[u], a[v]), max(a[u], a[v])) for a in actions)
+        if draw(st.booleans()):
+            edges.add(draw(st.sampled_from(apart)))
+    order = draw(st.permutations(range(n)))
+    coords = np.empty((n, 2))
+    coords[list(order)] = [points[i] for i, _ in joints]
+    return Graph.make(n, [(order[u], order[v]) for u, v in edges]), coords, group
+
+
+def _conjugate(alpha, sigma):
+    """sigma alpha sigma^-1: the automorphism alpha after vertex v is renamed sigma[v]."""
+    images = [0] * len(sigma)
+    for v in range(len(sigma)):
+        images[sigma[v]] = sigma[alpha(v)]
+    return Permutation(tuple(images))
+
+
+COORD_FIXTURES = [name for name in fixture_names() if load_fixture(name).coords is not None]
+
+
+class TestPositionGuidedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_instances())
+    def test_valid_sets_match_brute_force_and_are_cosets(self, instance):
+        graph, coords, group = instance
+        brute = brute_force_type_search(graph, coords, group)
+        if not brute.types:
+            with pytest.raises(NotInSymmetryClass):
+                enumerate_types(graph, coords, group)
+            return
+        catalog, types = enumerate_types(graph, coords, group)
+        assert catalog.valid_sets == brute.valid_sets
+        assert catalog.coincidence_group == brute.coincidence
+        assert set(types) == set(brute.types)
+        for witness, valid in zip(catalog.base.images, catalog.valid_sets):
+            assert valid == tuple(sorted(witness.compose(beta) for beta in catalog.coincidence_group))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(COORD_FIXTURES), st.data())
+    def test_relabelling_conjugates_the_catalog(self, name, data):
+        graph, coords, group, _ = fixture_framework(name)
+        sigma = data.draw(st.permutations(range(graph.n)))
+        moved = Graph.make(graph.n, [(sigma[u], sigma[v]) for u, v in graph.edges])
+        moved_coords = np.empty_like(coords)
+        moved_coords[list(sigma)] = coords
+        try:
+            catalog, types = enumerate_types(graph, coords, group)
+        except NotInSymmetryClass:
+            with pytest.raises(NotInSymmetryClass):
+                enumerate_types(moved, moved_coords, group)
+            return
+        moved_catalog, moved_types = enumerate_types(moved, moved_coords, group)
+        assert moved_catalog.count == catalog.count
+        assert moved_catalog.normalized_count() == catalog.normalized_count()
+        for valid, moved_valid, moved_base in zip(catalog.valid_sets, moved_catalog.valid_sets,
+                                                  moved_catalog.base.images):
+            conjugated = sorted(_conjugate(alpha, sigma) for alpha in valid)
+            assert list(moved_valid) == conjugated
+            # the base is the lexicographically first valid choice after relabelling
+            assert moved_base == conjugated[0]
+        assert list(moved_catalog.coincidence_group) == sorted(
+            _conjugate(beta, sigma) for beta in catalog.coincidence_group)
+        assert set(moved_types) == {TypeAssignment(tuple(_conjugate(a, sigma) for a in t.images)) for t in types}
+
+    def test_regular_octagon_builds_few_permutations(self, monkeypatch):
+        # listing all of Aut(K8) would build 40320; the position-guided search builds one per element
+        built = []
+
+        class CountingPermutation(graphs.Permutation):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(graphs, "Permutation", CountingPermutation)
+        coords = np.array([[math.cos(math.pi * k / 4), math.sin(math.pi * k / 4)] for k in range(8)])
+        catalog, types = enumerate_types(Graph.complete(8), coords, schoenflies_group("C8v", 2))
+        assert catalog.count == 1 and len(types) == 1
+        assert len(built) <= 100
 
 
 class TestRestriction:

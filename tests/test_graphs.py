@@ -147,6 +147,22 @@ class TestAutomorphisms:
         p = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert coincidence_automorphisms(g, p) == [Permutation.identity(3)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_allowed_equals_filtering_the_full_list(self, data):
+        n = data.draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph.make(n, edges)
+        entries = st.sampled_from([True, True, True, False])
+        allowed = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+        expected = [a for a in automorphisms(g) if all(allowed[v, a(v)] for v in range(n))]
+        assert automorphisms(g, allowed=allowed) == expected
+
+    def test_allowed_does_not_lift_the_cap(self):
+        with pytest.raises(CapExceeded):
+            automorphisms(Graph.cycle(13), cap=12, allowed=np.eye(13, dtype=bool))
+
 
 class TestCycleNotation:
     LABELS = ("v1", "v2", "v3", "v4")

@@ -218,6 +218,55 @@ class TestParseRejections:
         with pytest.raises(ParseError, match=f"'{field}' must be .*finite"):
             parse_problem(data)
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_coords_bool(self, bad):
+        data = base_problem()
+        data["coords"]["v1"] = [bad, 0.3]
+        with pytest.raises(ParseError, match="'coords' entry for v1"):
+            parse_problem(data)
+
+    @pytest.mark.parametrize(
+        "dim, group",
+        [
+            (2, {"schoenflies": "Cs", "params": {"mirror_angle_deg": True}}),
+            (3, {"schoenflies": "C2", "params": {"axis": [0, False, True]}}),
+            (3, {"schoenflies": "D2", "params": {"secondary_axis": [True, 0, 0]}}),
+            (3, {"schoenflies": "Cs", "params": {"mirror_normal": [0, True, 0]}}),
+        ],
+        ids=["angle", "axis", "secondary-axis", "normal"],
+    )
+    def test_group_param_bool(self, dim, group):
+        field = next(iter(group["params"]))
+        data = {"dim": dim, "vertices": ["v1"], "edges": [], "group": group}
+        with pytest.raises(ParseError, match=f"'{field}' must be"):
+            parse_problem(data)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            [[True, False], [False, True]],
+            [["-1", "0"], ["0", "-1"]],
+            [[-1, 0], [0, "-1"]],
+            [[-1, 0], [0, None]],
+            [[-1, 0], [0, -1], [0, 0]],
+            [[-1, 0, 0], [0, -1, 0]],
+            [[float("nan"), 0], [0, -1]],
+        ],
+        ids=["bool", "strings", "one-string", "null", "three-rows", "three-columns", "nan"],
+    )
+    def test_generator_not_a_matrix_of_numbers(self, generator):
+        data = base_problem()
+        data["group"] = {"generators": [generator]}
+        with pytest.raises(ParseError, match="'generators'"):
+            parse_problem(data)
+
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True])
+    def test_dim_not_an_integer(self, dim):
+        data = base_problem()
+        data["dim"] = dim
+        with pytest.raises(ParseError, match="'dim'"):
+            parse_problem(data)
+
     def test_bool_seed(self):
         data = base_problem()
         data["seed"] = True

@@ -197,6 +197,10 @@ class TestSampling:
         for f, g in zip(batch, again):
             assert np.array_equal(f.coords, g.coords)
 
+    def test_sample_config_is_the_first_draw_of_the_stream(self):
+        _, _, _, basis = basis_for("k33_phi_a")
+        assert np.array_equal(sample_config(basis, seed=11).coords, draw_samples(basis, 3, seed=11)[0].coords)
+
     @pytest.mark.parametrize(
         "name", ["k33_phi_b", "gbp_xi_b", "k4_upsilon_b", "k3_c2_swap", "c9_c3", "c4_gadget"]
     )
