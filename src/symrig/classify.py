@@ -30,7 +30,6 @@ from .errors import (
     UnknownName,
 )
 from .graphs import (
-    AUTOMORPHISM_CAP,
     Graph,
     Permutation,
     automorphisms,
@@ -38,6 +37,7 @@ from .graphs import (
     format_cycles,
     is_automorphism,
     joint_matches,
+    short_bars,
 )
 from .groups import SymmetryGroup
 
@@ -89,13 +89,8 @@ def _check_shapes(graph: Graph, coords: np.ndarray, group: SymmetryGroup) -> np.
     return p
 
 
-def _bars_collapse(graph: Graph, p: np.ndarray, tol: float) -> bool:
-    """True iff some bar has length <= tol, so p is not a framework."""
-    return any(np.linalg.norm(p[u] - p[v]) <= tol for u, v in graph.edges)
-
-
 def _valid_sets(
-    graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: float, cap: int
+    graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: float
 ) -> tuple[tuple[Permutation, ...], ...] | None:
     """Per element x, every alpha with x(p(v)) = p(alpha(v)), in lexicographic order.
 
@@ -105,11 +100,11 @@ def _valid_sets(
     has no valid choice.
     """
     p = _check_shapes(graph, coords, group)
-    if _bars_collapse(graph, p, tol):
+    if len(short_bars(graph, p, tol)):
         return None
-    sets = [tuple(coincidence_automorphisms(graph, p, tol, cap))]
+    sets = [tuple(coincidence_automorphisms(graph, p, tol))]
     for op in group.elements[1:]:
-        sets.append(tuple(automorphisms(graph, cap, allowed=joint_matches(p @ op.matrix.T, p, tol))))
+        sets.append(tuple(automorphisms(graph, allowed=joint_matches(p @ op.matrix.T, p, tol))))
     return tuple(sets) if all(sets) else None
 
 
@@ -129,7 +124,7 @@ def verify_type(
             raise NotAnAutomorphism(
                 f"image for {op.label} is not an automorphism: {format_cycles(perm, graph.labels)}"
             )
-    return not _bars_collapse(graph, p, tol) and all(
+    return not len(short_bars(graph, p, tol)) and all(
         joint_matches(p @ op.matrix.T, p, tol)[range(graph.n), perm.images].all()
         for op, perm in zip(group.elements, phi.images)
     )
@@ -140,14 +135,13 @@ def find_base_type(
     coords: np.ndarray,
     group: SymmetryGroup,
     tol: float = 1e-8,
-    cap: int = AUTOMORPHISM_CAP,
 ) -> TypeAssignment | None:
     """The assignment made of the lexicographically first valid choice per element.
 
     None when some element has no valid choice (the realization does not
     have the full symmetry) or the configuration is not a framework.
     """
-    sets = _valid_sets(graph, coords, group, tol, cap)
+    sets = _valid_sets(graph, coords, group, tol)
     return None if sets is None else TypeAssignment(tuple(s[0] for s in sets))
 
 
@@ -157,7 +151,6 @@ def enumerate_types(
     group: SymmetryGroup,
     tol: float = 1e-8,
     normalized: bool = False,
-    cap: int = AUTOMORPHISM_CAP,
     max_product: int = MAX_TYPE_PRODUCT,
 ) -> tuple[TypeCatalog, list[TypeAssignment]]:
     """All types of a realization: the product of the per-element valid sets.
@@ -165,7 +158,7 @@ def enumerate_types(
     With normalized=True the identity operation is pinned to the identity
     automorphism, leaving |Aut(G,p)| ^ (|S| - 1) assignments.
     """
-    sets = _valid_sets(graph, coords, group, tol, cap)
+    sets = _valid_sets(graph, coords, group, tol)
     if sets is None:
         raise NotInSymmetryClass("the realization admits no type for this group")
     base = TypeAssignment(tuple(s[0] for s in sets))
@@ -198,7 +191,6 @@ def find_homomorphic_type(
     coords: np.ndarray,
     group: SymmetryGroup,
     tol: float = 1e-8,
-    cap: int = AUTOMORPHISM_CAP,
     max_product: int = MAX_TYPE_PRODUCT,
 ) -> TypeAssignment | None:
     """First type in catalog order that is a homomorphism, if any.
@@ -207,7 +199,7 @@ def find_homomorphic_type(
     automorphism, so only the normalized catalog needs scanning. With a
     trivial coincidence group the unique type is returned directly.
     """
-    catalog, types = enumerate_types(graph, coords, group, tol, normalized=True, cap=cap, max_product=max_product)
+    catalog, types = enumerate_types(graph, coords, group, tol, normalized=True, max_product=max_product)
     if len(catalog.coincidence_group) == 1:
         return types[0]
     for phi in types:

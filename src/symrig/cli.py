@@ -66,11 +66,11 @@ def _need_coords(problem: ProblemFile) -> None:
         raise NotInSymmetryClass("this command needs explicit coords in the problem file")
 
 
-def _framework(problem: ProblemFile, phi: TypeAssignment, seed: int) -> Framework:
+def _framework(problem: ProblemFile, phi: TypeAssignment, args) -> Framework:
     if problem.coords is not None:
         return Framework(problem.graph, problem.coords)
     basis = config_space_basis(problem.graph, problem.group, phi)
-    return sample_config(basis, seed=seed)
+    return sample_config(basis, seed=_seed(args, problem), framework_tol=args.tol_geom)
 
 
 def _coord_dict(framework: Framework) -> dict:
@@ -120,7 +120,7 @@ def cmd_sample(args) -> str:
     problem = _load(args)
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
-    samples = draw_samples(basis, args.count, seed=_seed(args, problem))
+    samples = draw_samples(basis, args.count, seed=_seed(args, problem), framework_tol=args.tol_geom)
     rows = []
     for f in samples:
         verdict = rigidity_verdict(f, args.tol_rank, args.tol_geom)
@@ -189,7 +189,7 @@ def cmd_empty_check(args) -> str:
 def cmd_svg(args) -> str:
     problem = _load(args)
     phi = _resolve_phi(problem, args.tol_geom)
-    framework = _framework(problem, phi, _seed(args, problem))
+    framework = _framework(problem, phi, args)
     return render_svg(framework, problem.group, label_joints=args.labels)
 
 
@@ -214,7 +214,7 @@ def cmd_oracle_types(args) -> str:
 def cmd_oracle_generic(args) -> str:
     problem = _load(args)
     phi = _resolve_phi(problem, args.tol_geom)
-    framework = _framework(problem, phi, _seed(args, problem))
+    framework = _framework(problem, phi, args)
     report = exhaustive_generic_check(
         framework.coords, problem.group, phi.images,
         evals=args.evals, seed=_seed(args, problem),

@@ -9,7 +9,7 @@ only the automorphisms that move joints onto matching joints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
@@ -78,11 +78,21 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on labeled vertices 0..n-1."""
+    """A simple undirected graph on labeled vertices 0..n-1.
+
+    bars holds the edges once, sorted, as a read-only (|E|, 2) index array
+    with u < v in each row; every per-bar array follows its row order.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[str, ...]
+    bars: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bars = np.array(sorted(self.edges), dtype=int).reshape(-1, 2)
+        bars.setflags(write=False)
+        object.__setattr__(self, "bars", bars)
 
     @staticmethod
     def make(n: int, edge_list, labels: tuple[str, ...] | None = None) -> "Graph":
@@ -123,9 +133,6 @@ class Graph:
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -156,6 +163,16 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
         if (min(a, b), max(a, b)) not in graph.edges:
             return False
     return True
+
+
+def bar_vectors(graph: Graph, p: np.ndarray) -> np.ndarray:
+    """p_u - p_v for every bar {u, v} of graph, over coordinates p[..., n, d]."""
+    return p[..., graph.bars[:, 0], :] - p[..., graph.bars[:, 1], :]
+
+
+def short_bars(graph: Graph, p: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of graph.bars whose endpoints lie within tol of each other in p[n, d]."""
+    return graph.bars[np.linalg.norm(bar_vectors(graph, p), axis=-1) <= tol]
 
 
 def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None) -> list[Permutation]:
@@ -198,12 +215,7 @@ def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.nda
     return np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2) <= tol
 
 
-def coincidence_automorphisms(
-    graph: Graph,
-    coords: np.ndarray,
-    tol: float = 1e-9,
-    cap: int = AUTOMORPHISM_CAP,
-) -> list[Permutation]:
+def coincidence_automorphisms(graph: Graph, coords: np.ndarray, tol: float = 1e-9) -> list[Permutation]:
     """Automorphisms that fix every joint position: p(alpha(v)) = p(v) within tol.
 
     One constrained search: v may go to w only when joint w lies within tol of joint v.
@@ -211,7 +223,7 @@ def coincidence_automorphisms(
     p = np.asarray(coords, dtype=float)
     if p.shape[0] != graph.n:
         raise LengthMismatch(f"coordinate rows {p.shape[0]} do not match n={graph.n}")
-    return automorphisms(graph, cap, allowed=joint_matches(p, p, tol))
+    return automorphisms(graph, allowed=joint_matches(p, p, tol))
 
 
 def format_cycles(perm: Permutation, labels: tuple[str, ...], include_fixed: bool = False) -> str:

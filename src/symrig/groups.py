@@ -73,9 +73,6 @@ class OrthogonalOp:
     def is_identity(self, tol: float = MATCH_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(self.dim))) <= tol)
 
-    def relabeled(self, label: str) -> "OrthogonalOp":
-        return OrthogonalOp(self.matrix, label)
-
     def __repr__(self) -> str:
         return f"OrthogonalOp({self.label or 'unnamed'}, dim={self.dim})"
 
@@ -90,17 +87,6 @@ class LinearSubspace:
     @property
     def dim(self) -> int:
         return int(self.basis.shape[0])
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec, dtype=float)
-        if self.dim == 0:
-            return np.zeros_like(v)
-        return self.basis.T @ (self.basis @ v)
-
-    def contains(self, vec: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(vec, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        return bool(np.linalg.norm(v - self.project(v)) <= tol * scale)
 
 
 def _match(candidates: np.ndarray, stack: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .classify import MAX_TYPE_PRODUCT, TypeAssignment
 from .errors import CapExceeded, ExplosionGuard, NotInSymmetryClass, NotRationalizable
 from .graphs import Graph, Permutation
 from .groups import SymmetryGroup
+from .rigidity import Framework, rigidity_matrix
 
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
@@ -117,15 +118,6 @@ class GenericCheckReport:
         return self.generic
 
 
-def _complete_rigidity_matrix(p: np.ndarray) -> np.ndarray:
-    n, d = p.shape
-    rows = np.zeros((comb(n, 2), d * n))
-    for r, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-        rows[r, d * u: d * u + d] = p[u] - p[v]
-        rows[r, d * v: d * v + d] = p[v] - p[u]
-    return rows
-
-
 def _minor_vanishes(sub: np.ndarray, tol: float) -> bool:
     sigma = np.linalg.svd(sub, compute_uv=False)
     if sigma[0] == 0.0:
@@ -173,8 +165,9 @@ def exhaustive_generic_check(
         q = (rng.uniform(-1.0, 1.0, space.shape[0]) @ space).reshape(n, d)
         qpeak = np.max(np.abs(q))
         eval_points.append(q / qpeak if qpeak > 0 else q)
-    matrices = [_complete_rigidity_matrix(q) for q in eval_points]
-    base = _complete_rigidity_matrix(p)
+    complete = Graph.complete(n)
+    matrices = [rigidity_matrix(Framework(complete, q)) for q in eval_points]
+    base = rigidity_matrix(Framework(complete, p))
 
     rows_total, cols_total = base.shape
     checked = 0

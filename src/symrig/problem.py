@@ -206,7 +206,7 @@ def serialize_problem(problem: ProblemFile) -> dict:
     out["dim"] = problem.dim
     out["vertices"] = list(problem.graph.labels)
     out["edges"] = [[problem.graph.labels[u], problem.graph.labels[v]]
-                    for u, v in problem.graph.sorted_edges()]
+                    for u, v in problem.graph.bars.tolist()]
     out["group"] = problem.group_spec
     if problem.type_mode == "explicit":
         assert problem.phi is not None

@@ -2,20 +2,23 @@
 
 The rigidity matrix has one row per bar {u, v}: the d entries p_u - p_v
 in the columns of u, the d entries p_v - p_u in the columns of v, zeros
-elsewhere. Rank decisions use SVD with a relative cutoff after rescaling
-the configuration to the unit box.
+elsewhere. A rank decision is one SVD of that matrix with a cutoff
+relative to its largest singular value, so scaling the configuration
+does not change it and no rescaled copy is made. The trivial motions are
+counted in closed form from the affine span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from ._numeric import numeric_rank
 from .errors import InvalidFramework, UnsupportedDim
-from .graphs import Graph
+from .graphs import Graph, bar_vectors, short_bars
 
 __all__ = [
     "Framework",
@@ -57,11 +60,7 @@ class Framework:
 
     def edge_violations(self, tol: float = 1e-8) -> list[tuple[int, int]]:
         """Bars whose endpoints coincide within tol."""
-        bad = []
-        for u, v in self.graph.sorted_edges():
-            if np.linalg.norm(self.coords[u] - self.coords[v]) <= tol:
-                bad.append((u, v))
-        return bad
+        return [(u, v) for u, v in short_bars(self.graph, self.coords, tol).tolist()]
 
     def validate(self, tol: float = 1e-8) -> None:
         bad = self.edge_violations(tol)
@@ -95,19 +94,18 @@ class RigidityReport:
 
 
 def rigidity_matrix(framework: Framework) -> np.ndarray:
-    """The |E| x (d n) rigidity matrix, rows ordered by sorted edge list.
+    """The |E| x (d n) rigidity matrix, rows in the order of graph.bars.
 
     Degenerate bars with coincident endpoints simply contribute zero rows,
     so no validity check is made here.
     """
-    g, p = framework.graph, framework.coords
-    d = framework.dim
-    rows = np.zeros((g.edge_count, d * g.n))
-    for r, (u, v) in enumerate(g.sorted_edges()):
-        diff = p[u] - p[v]
-        rows[r, d * u: d * u + d] = diff
-        rows[r, d * v: d * v + d] = -diff
-    return rows
+    g = framework.graph
+    diff = bar_vectors(g, framework.coords)
+    rows = np.zeros((g.edge_count, g.n, framework.dim))
+    bar = np.arange(g.edge_count)
+    rows[bar, g.bars[:, 0]] = diff
+    rows[bar, g.bars[:, 1]] = -diff
+    return rows.reshape(g.edge_count, g.n * framework.dim)
 
 
 def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8) -> int:
@@ -148,22 +146,18 @@ def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_to
     """Decide infinitesimal rigidity, independence, and isostaticity.
 
     Rigid means every infinitesimal motion is trivial: d n - rank equals the
-    dimension of the trivial motions of this configuration (C(d+1, 2) when
-    the affine span has dimension at least d - 1, less otherwise).
-    Independent means rank equals the bar count; isostatic means both.
+    dimension of the trivial motions of this configuration. For affine span
+    a that is C(d+1, 2) - C(d-a, 2): all of them when a >= d - 1, and less
+    for points on a line (3D) or at one spot, whose rotations about that
+    line or spot fix every joint. Independent means rank equals the bar
+    count; isostatic means both. The rank is one SVD of the rigidity matrix.
     """
     framework.validate(framework_tol)
     g = framework.graph
     n, d = framework.n, framework.dim
-    p = framework.coords
-    scale = float(np.max(np.abs(p)))
-    if scale > 0:
-        p = p / scale
-    scaled = Framework(g, p)
-    rmat = rigidity_matrix(scaled)
-    rank = numeric_rank(rmat, rank_rtol)
-    affine = affine_span_dim(p, rank_rtol)
-    trivial = numeric_rank(trivial_motion_basis(scaled), rank_rtol)
+    rank = numeric_rank(rigidity_matrix(framework), rank_rtol)
+    affine = affine_span_dim(framework.coords, rank_rtol)
+    trivial = comb(d + 1, 2) - comb(d - affine, 2)
     rigid = d * n - rank == trivial
     independent = rank == g.edge_count
     return RigidityReport(

@@ -143,7 +143,7 @@ def render_svg(
                     points.append(f"{_fmt(x)},{_fmt(y)}")
                 parts.append(f'<polyline class="mirror" points="{" ".join(points)}"/>')
 
-    for u, v in framework.graph.sorted_edges():
+    for u, v in framework.graph.bars.tolist():
         a = place(flat[u])
         b = place(flat[v])
         parts.append(

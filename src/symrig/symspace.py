@@ -19,6 +19,7 @@ import numpy as np
 from ._numeric import kernel_basis
 from .classify import TypeAssignment, is_homomorphism
 from .errors import (
+    BadParam,
     InconsistentPropagation,
     NotAHomomorphism,
     NotAnAutomorphism,
@@ -29,6 +30,8 @@ from .groups import LinearSubspace, SymmetryGroup, fixed_subspace
 from .rigidity import Framework, rigidity_verdict
 
 KERNEL_RTOL = 1e-9
+DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
+MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
 
 
 def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +122,7 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> 
     """
     d = basis.group.dim
     offending = []
-    for u, v in graph.sorted_edges():
+    for u, v in graph.bars.tolist():
         if basis.k == 0:
             offending.append((u, v))
             continue
@@ -129,7 +132,7 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> 
     return (len(offending) > 0, offending)
 
 
-def _draw_config(basis: ConfigSpaceBasis, rng: np.random.Generator, retries: int, framework_tol: float) -> Framework:
+def _draw_config(basis: ConfigSpaceBasis, rng: np.random.Generator, framework_tol: float) -> Framework:
     g = basis.graph
     if basis.k == 0:
         coords = np.zeros((g.n, basis.dim))
@@ -137,7 +140,7 @@ def _draw_config(basis: ConfigSpaceBasis, rng: np.random.Generator, retries: int
         if f.edge_violations(framework_tol):
             raise SamplingExhausted("the class is empty: its only configuration collapses a bar")
         return f
-    for _ in range(retries):
+    for _ in range(DRAW_RETRIES):
         weights = rng.uniform(-1.0, 1.0, basis.k)
         coords = basis.coords_from(weights)
         peak = np.max(np.abs(coords))
@@ -147,33 +150,22 @@ def _draw_config(basis: ConfigSpaceBasis, rng: np.random.Generator, retries: int
         f = Framework(g, coords)
         if not f.edge_violations(framework_tol):
             return f
-    raise SamplingExhausted(f"no valid framework in {retries} draws")
+    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
 
 
-def sample_config(
-    basis: ConfigSpaceBasis,
-    seed: int = 0,
-    retries: int = 100,
-    framework_tol: float = 1e-8,
-) -> Framework:
+def sample_config(basis: ConfigSpaceBasis, seed: int = 0, framework_tol: float = 1e-8) -> Framework:
     """Draw a framework from the class, rescaled to the unit box.
 
     Coefficients are uniform on [-1, 1]^k; draws that collapse a bar are
     rejected. The result satisfies the class constraints by construction.
     """
-    return draw_samples(basis, 1, seed, retries, framework_tol)[0]
+    return draw_samples(basis, 1, seed, framework_tol)[0]
 
 
-def draw_samples(
-    basis: ConfigSpaceBasis,
-    count: int,
-    seed: int = 0,
-    retries: int = 100,
-    framework_tol: float = 1e-8,
-) -> list[Framework]:
+def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_tol: float = 1e-8) -> list[Framework]:
     """count frameworks from one seeded stream (deterministic for a seed)."""
     rng = np.random.default_rng(seed)
-    return [_draw_config(basis, rng, retries, framework_tol) for _ in range(count)]
+    return [_draw_config(basis, rng, framework_tol) for _ in range(count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +218,7 @@ def orbit_sample(
     group: SymmetryGroup,
     phi: TypeAssignment,
     seed: int = 0,
-    retries: int = 100,
     framework_tol: float = 1e-8,
-    membership_tol: float = 1e-8,
 ) -> Framework:
     """Sample by placing each orbit representative and propagating.
 
@@ -238,7 +228,7 @@ def orbit_sample(
     """
     g = structure.graph
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(DRAW_RETRIES):
         coords = np.full((g.n, group.dim), np.nan)
         for rep, space in zip(structure.representatives, structure.fixed_spaces):
             point = _ball_point(space, rng)
@@ -247,17 +237,17 @@ def orbit_sample(
                 image = group.elements[x].matrix @ point
                 if np.isnan(coords[target, 0]):
                     coords[target] = image
-                elif np.max(np.abs(coords[target] - image)) > membership_tol:
+                elif np.max(np.abs(coords[target] - image)) > MEMBERSHIP_TOL:
                     raise InconsistentPropagation(
-                        f"joint {g.labels[target]} received two positions differing by more than {membership_tol}"
+                        f"joint {g.labels[target]} received two positions differing by more than {MEMBERSHIP_TOL}"
                     )
         residual = constraint_residual(g, group, phi, coords)
-        if residual > membership_tol:
+        if residual > MEMBERSHIP_TOL:
             raise InconsistentPropagation(f"propagated configuration violates the class constraints by {residual:.2e}")
         f = Framework(g, coords)
         if not f.edge_violations(framework_tol):
             return f
-    raise SamplingExhausted(f"no valid framework in {retries} draws")
+    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
 
 
 @dataclass(frozen=True)
@@ -308,10 +298,18 @@ def sym_generic_verdict(
 ) -> SymGenericReport:
     """Classify a whole class by sampling: empty, or rigidity verdicts.
 
-    One sampled witness certifies a positive verdict for almost all
-    members of the class; a negative verdict only reports that no witness
-    appeared within the trial budget.
+    All generic realizations in a class share their infinitesimal rigidity
+    properties (*Injective and non-injective realizations with symmetry*,
+    arXiv:0808.1761), and a sample is generic in this sense when
+    its rank is the greatest the class attains: the rank falls below that
+    only on a proper algebraic subset of the class space. So the class
+    verdict is the verdict of the first sample of greatest rank among the
+    trials draws, and that sample is the witness. A positive verdict holds
+    for almost all members of the class; a negative verdict only reports
+    that no sample of higher rank appeared within the trial budget.
     """
+    if trials < 1:
+        raise BadParam(f"trials must be at least 1, got {trials}")
     basis = config_space_basis(graph, group, phi)
     empty, offending = class_is_empty(graph, basis)
     if empty:
@@ -322,26 +320,15 @@ def sym_generic_verdict(
         )
     rng = np.random.default_rng(seed)
     ranks = []
-    best = None
-    rigid = independent = isostatic = False
-    witness = None
+    best = witness = None
     for _ in range(trials):
-        f = _draw_config(basis, rng, 100, framework_tol)
+        f = _draw_config(basis, rng, framework_tol)
         report = rigidity_verdict(f, rank_rtol, framework_tol)
         ranks.append(report.rank)
-        if report.isostatic and not isostatic:
-            witness = f.coords
-        elif report.infinitesimally_rigid and not rigid and witness is None:
-            witness = f.coords
-        rigid = rigid or report.infinitesimally_rigid
-        independent = independent or report.independent
-        isostatic = isostatic or report.isostatic
-        if best is None or report.rank > best[0]:
-            best = (report.rank, f.coords)
-    if witness is None and best is not None:
-        witness = best[1]
+        if best is None or report.rank > best.rank:
+            best, witness = report, f.coords
     return SymGenericReport(
         k=basis.k, empty=False, offending_edges=(), samples_drawn=trials,
-        ranks=tuple(ranks), max_rank=max(ranks), infinitesimally_rigid=rigid,
-        independent=independent, isostatic=isostatic, witness=witness,
+        ranks=tuple(ranks), max_rank=best.rank, infinitesimally_rigid=best.infinitesimally_rigid,
+        independent=best.independent, isostatic=best.isostatic, witness=witness,
     )

@@ -8,10 +8,12 @@ from symrig.graphs import (
     Graph,
     Permutation,
     automorphisms,
+    bar_vectors,
     coincidence_automorphisms,
     format_cycles,
     is_automorphism,
     parse_cycles,
+    short_bars,
 )
 
 
@@ -92,6 +94,22 @@ class TestGraph:
         assert k4.edge_count == 6
         assert k4.is_complete()
         assert Graph.cycle(5).degrees() == [2] * 5
+
+    def test_bars_sorted_once_and_read_only(self):
+        g = Graph.make(4, [(3, 1), (0, 2), (1, 0)])
+        assert g.bars.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert not g.bars.flags.writeable
+        assert Graph.make(2, []).bars.shape == (0, 2)
+        same = Graph.make(4, [(1, 3), (0, 2), (0, 1)])
+        assert g == same and hash(g) == hash(same)
+
+    def test_bar_vectors_and_short_bars(self):
+        g = Graph.make(3, [(0, 1), (1, 2), (0, 2)])
+        p = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.05]])
+        assert np.array_equal(bar_vectors(g, p), [[-1.0, 0.0], [-1.0, -0.05], [0.0, -0.05]])
+        assert np.array_equal(bar_vectors(g, np.stack([p, 2 * p])), [bar_vectors(g, p), bar_vectors(g, 2 * p)])
+        assert short_bars(g, p, 0.1).tolist() == [[1, 2]]
+        assert short_bars(g, p, 0.01).shape == (0, 2)
 
     def test_index_of(self):
         g = Graph.make(2, [(0, 1)], labels=("a", "b"))

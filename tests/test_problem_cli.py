@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from symrig import cli
 from symrig.cli import main
 from symrig.errors import ParseError, SelfLoop, UnknownGroup
 from symrig.problem import (
@@ -377,6 +379,32 @@ class TestCli:
         assert len(payload["samples"]) == 3
         _, other = run_cli(capsys, "sample", "--fixture", "gtp_psi_a", "--count", "3", "--seed", "99")
         assert other != out
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_analyze_needs_a_trial(self, capsys, trials):
+        code, out = run_cli(capsys, "analyze", "--fixture", "k33_phi_a", "--trials", trials)
+        assert code == 3
+        assert "trials" in json.loads(out)["error"]
+
+    def test_sample_draws_with_tol_geom(self, capsys):
+        code, out = run_cli(capsys, "sample", "--fixture", "k33_phi_a", "--count", "20", "--tol-geom", "0.2")
+        assert code == 0
+        graph = load_fixture("k33_phi_a").graph
+        for row in json.loads(out)["samples"]:
+            p = np.array([row["coords"][label] for label in graph.labels])
+            assert all(np.linalg.norm(p[u] - p[v]) > 0.2 for u, v in graph.edges)
+
+    def test_svg_draws_with_tol_geom(self, tmp_path, capsys, monkeypatch):
+        data = json.loads(Path(fixture_path("k33_phi_a")).read_text(encoding="utf-8"))
+        del data["coords"]
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        drawn = []
+        monkeypatch.setattr(cli, "render_svg", lambda framework, group, label_joints: drawn.append(framework) or "")
+        code, _ = run_cli(capsys, "svg", "--problem", str(path), "--seed", "0", "--tol-geom", "0.2")
+        assert code == 0
+        p = drawn[0].coords
+        assert all(np.linalg.norm(p[u] - p[v]) > 0.2 for u, v in drawn[0].graph.edges)
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(capsys, "analyze", "--fixture", "k33_phi_b", "--trials", "4")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symrig._numeric import numeric_rank
 from symrig.errors import InvalidFramework, UnsupportedDim
 from symrig.graphs import Graph
 from symrig.rigidity import (
@@ -67,6 +68,24 @@ class TestRigidityMatrix:
         # first row is edge (0, 1)
         assert np.allclose(r[0], [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
+    def test_no_bars(self):
+        f = Framework(Graph.make(3, []), np.zeros((3, 2)))
+        assert rigidity_matrix(f).shape == (0, 6)
+        assert f.edge_violations() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 6), st.data())
+    def test_matches_per_bar_reference(self, d, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        flat = data.draw(st.lists(st.floats(-1, 1), min_size=n * d, max_size=n * d))
+        p = np.array(flat).reshape(n, d)
+        expected = np.zeros((len(edges), d * n))
+        for r, (u, v) in enumerate(sorted(edges)):
+            expected[r, d * u: d * u + d] = p[u] - p[v]
+            expected[r, d * v: d * v + d] = p[v] - p[u]
+        assert np.array_equal(rigidity_matrix(Framework(Graph.make(n, edges), p)), expected)
+
     def test_trivial_motions_in_kernel(self):
         f = tri_framework([[0.1, 0.2], [1.3, -0.4], [-0.5, 0.9]])
         r = rigidity_matrix(f)
@@ -80,6 +99,30 @@ class TestRigidityMatrix:
         t = trivial_motion_basis(f)
         assert t.shape == (6, 12)
         assert np.max(np.abs(rigidity_matrix(f) @ t.T)) < 1e-12
+
+
+class TestTrivialDim:
+    """The closed-form count C(d+1, 2) - C(d-a, 2) against the rank of the motion fields."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_closed_form_matches_motion_rank(self, d, span, extra, data):
+        # n points on a random affine subspace of dimension span: span 0 puts
+        # every point at one spot, span 1 on a line, span 2 in 3D on a plane
+        span = min(span, d)
+        n = span + 1 + extra
+        coord = st.floats(-1, 1)
+        origin = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+        directions = np.array(data.draw(st.lists(coord, min_size=span * d, max_size=span * d))).reshape(span, d)
+        weights = np.array(data.draw(st.lists(coord, min_size=n * span, max_size=n * span))).reshape(n, span)
+        p = origin + weights @ directions
+        # keep only placements whose span is clearly span, not near a smaller one
+        sigma = np.linalg.svd(p - p[0], compute_uv=False)
+        assume(span == 0 or sigma[span - 1] > 1e-3 * max(1.0, sigma[0]))
+        f = Framework(Graph.make(n, []), p)
+        report = rigidity_verdict(f)
+        assert report.affine_span_dim == span
+        assert report.trivial_dim == numeric_rank(trivial_motion_basis(f))
 
 
 class TestAffineSpan:

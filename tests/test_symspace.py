@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis
-from symrig.classify import TypeAssignment, identity_type, is_homomorphism
-from symrig.errors import NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
+from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism
+from symrig.errors import BadParam, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import schoenflies_group
 from symrig.oracle import constraint_stack, symmetry_constraint_matrix
 from symrig.problem import fixture_names, load_fixture
+from symrig.rigidity import rigidity_verdict
 from symrig.symspace import (
     _orbits,
     class_is_empty,
@@ -39,8 +40,29 @@ HOMOMORPHIC = [
 
 
 def fixture_parts(name):
+    """A fixture's class, with an auto type resolved from its coordinates."""
     prob = load_fixture(name)
-    return prob.graph, prob.group, prob.phi
+    phi = prob.phi if prob.phi is not None else find_base_type(prob.graph, prob.coords, prob.group)
+    return prob.graph, prob.group, phi
+
+
+def or_rule_reference(basis, trials, seed):
+    """Class flags OR-ed over the trials; the witness is the first isostatic
+    sample, else the first rigid one, else the first of greatest rank."""
+    rigid = independent = isostatic = False
+    witness = best = None
+    for f in draw_samples(basis, trials, seed):
+        report = rigidity_verdict(f)
+        if report.isostatic and not isostatic:
+            witness = f.coords
+        elif report.infinitesimally_rigid and not rigid and witness is None:
+            witness = f.coords
+        rigid = rigid or report.infinitesimally_rigid
+        independent = independent or report.independent
+        isostatic = isostatic or report.isostatic
+        if best is None or report.rank > best[0]:
+            best = (report.rank, f.coords)
+    return rigid, independent, isostatic, best[1] if witness is None else witness
 
 
 def basis_for(name):
@@ -305,6 +327,25 @@ class TestVerdicts:
         assert not report.infinitesimally_rigid
         assert not report.isostatic
         assert report.witness is not None
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_trial(self, trials):
+        graph, group, phi = fixture_parts("k33_phi_a")
+        with pytest.raises(BadParam, match="trials"):
+            sym_generic_verdict(graph, group, phi, trials=trials)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_max_rank_rule_matches_or_rule(self, name, seed):
+        graph, group, phi = fixture_parts(name)
+        report = sym_generic_verdict(graph, group, phi, seed=seed)
+        basis = config_space_basis(graph, group, phi)
+        if class_is_empty(graph, basis)[0]:
+            assert report.empty and report.witness is None
+            return
+        rigid, independent, isostatic, witness = or_rule_reference(basis, report.samples_drawn, seed)
+        assert (report.infinitesimally_rigid, report.independent, report.isostatic) == (rigid, independent, isostatic)
+        assert np.array_equal(report.witness, witness)
 
     def test_to_dict_labels(self):
         graph, group, phi = fixture_parts("k2_c2_identity")
