@@ -48,6 +48,7 @@ from .oracle import (
     exhaustive_generic_check,
     kernel_oracle,
     symmetry_constraint_matrix,
+    trivial_motion_basis,
 )
 from .problem import (
     ProblemFile,
@@ -64,7 +65,6 @@ from .rigidity import (
     affine_span_dim,
     rigidity_matrix,
     rigidity_verdict,
-    trivial_motion_basis,
 )
 from .svg import render_svg
 from .symspace import (

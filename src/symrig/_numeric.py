@@ -8,15 +8,24 @@ import numpy as np
 _SNAP_TARGETS = np.array([0.0, 0.5, 1.0, -0.5, -1.0])
 
 
+def block_rank(blocks, rtol: float = 1e-8) -> int:
+    """Rank of a block-diagonal matrix given as (block, multiplicity) pairs.
+
+    It counts the singular values above rtol times the largest singular
+    value of all blocks, each block's as often as its multiplicity says.
+    A single block of multiplicity 1 is the plain numerical rank.
+    """
+    sigmas = [(np.linalg.svd(block, compute_uv=False), mult) for block, mult in blocks if block.size]
+    top = max([sigma[0] for sigma, _ in sigmas], default=0.0)
+    if top == 0.0:
+        return 0
+    cut = rtol * top
+    return int(sum([mult * np.count_nonzero(sigma > cut) for sigma, mult in sigmas]))
+
+
 def numeric_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
     """Number of singular values above rtol times the largest one."""
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > rtol * sigma[0]))
+    return block_rank([(np.asarray(matrix, dtype=float), 1)], rtol)
 
 
 def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:

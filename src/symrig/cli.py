@@ -123,7 +123,7 @@ def cmd_sample(args) -> str:
     samples = draw_samples(basis, args.count, seed=_seed(args, problem), framework_tol=args.tol_geom)
     rows = []
     for f in samples:
-        verdict = rigidity_verdict(f, args.tol_rank, args.tol_geom)
+        verdict = rigidity_verdict(f, args.tol_rank, args.tol_geom, basis.phases)
         rows.append({
             "coords": _coord_dict(f),
             "rank": verdict.rank,

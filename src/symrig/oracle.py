@@ -18,7 +18,7 @@ import numpy as np
 
 from ._numeric import kernel_basis
 from .classify import MAX_TYPE_PRODUCT, TypeAssignment
-from .errors import CapExceeded, ExplosionGuard, NotInSymmetryClass, NotRationalizable
+from .errors import BadParam, CapExceeded, ExplosionGuard, NotInSymmetryClass, NotRationalizable
 from .graphs import Graph, Permutation
 from .groups import SymmetryGroup
 from .rigidity import Framework, rigidity_matrix
@@ -87,6 +87,29 @@ def brute_force_type_search(
     return BruteForceTypes(valid_sets=tuple(valid_sets), types=types, normalized=normalized)
 
 
+def trivial_motion_basis(framework: Framework) -> np.ndarray:
+    """Spanning set of trivial infinitesimal motions, one per row.
+
+    d translations plus one rotation field u(v) = A p_v for each basis
+    element A of the skew-symmetric matrices. The rows may be linearly
+    dependent for degenerate configurations. The reference for the closed
+    form count of trivial motions in rigidity_verdict.
+    """
+    p = framework.coords
+    n, d = p.shape
+    fields = []
+    for k in range(d):
+        t = np.zeros((n, d))
+        t[:, k] = 1.0
+        fields.append(t.reshape(-1))
+    for a, b in itertools.combinations(range(d), 2):
+        skew = np.zeros((d, d))
+        skew[a, b] = 1.0
+        skew[b, a] = -1.0
+        fields.append((p @ skew.T).reshape(-1))
+    return np.array(fields)
+
+
 def symmetry_constraint_matrix(group: SymmetryGroup, images, x_index: int, n: int) -> np.ndarray:
     """The (d n) x (d n) block matrix of the constraint for one operation."""
     pmat = np.eye(n)[list(images[x_index].images)]
@@ -141,7 +164,11 @@ def exhaustive_generic_check(
     singular everywhere on the class's configuration space. Identical
     vanishing is tested at seeded random members of the space, so a False
     is definitive while a True is correct up to a measure-zero accident.
+    With no evaluation point every minor would count as vanishing
+    identically, so evals must be at least 1.
     """
+    if evals < 1:
+        raise BadParam(f"evals must be at least 1, got {evals}")
     p = np.asarray(coords, dtype=float)
     n, d = p.shape
     if n > max_vertices:

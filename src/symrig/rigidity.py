@@ -1,33 +1,61 @@
 """Bar-and-joint frameworks and infinitesimal rigidity decisions.
 
-The rigidity matrix has one row per bar {u, v}: the d entries p_u - p_v
-in the columns of u, the d entries p_v - p_u in the columns of v, zeros
-elsewhere. A rank decision is one SVD of that matrix with a cutoff
-relative to its largest singular value, so scaling the configuration
-does not change it and no rescaled copy is made. The trivial motions are
-counted in closed form from the affine span.
+The rigidity matrix R(p) has one row per bar {u, v}: the d entries
+p_u - p_v in the columns of u, the d entries p_v - p_u in the columns of
+v, zeros elsewhere. A rank decision counts the singular values above a
+cutoff relative to the largest one, so scaling the configuration does not
+change it and no rescaled copy is made. The trivial motions are counted
+in closed form from the affine span.
+
+A framework drawn from a symmetry class is decided in smaller pieces. Let
+g be one operation of the class's type, with matrix M and joint
+permutation phi, so that M p_v = p_phi(v). Then R(p) T_g = T_B R(p), where
+(T_g u)_phi(v) = M u_v carries a velocity field along with g and T_B is
+the permutation phi induces on the bars, unsigned because a row does not
+depend on the orientation of its bar. So R maps each eigenspace of T_g
+into the eigenspace of T_B for the same eigenvalue, and in eigenbases of
+both it is block diagonal, one block per phase lambda = e^(2 pi i k / L)
+where L is the order of T_g. The blocks have exactly R's singular values,
+so the cutoff and the rank are the same. Phases k and L - k give
+conjugate blocks, so only k <= L/2 are decomposed. The trivial phase's
+block is the orbit rigidity matrix of Schulze and Whiteley (Discrete
+Comput. Geom. 2011); the split is that of Kangwai and Guest (Int. J.
+Solids Struct. 2000), applied to one operation, which makes it valid for
+non-homomorphic types and non-injective realizations too.
+
+The intertwining holds only for p in the class. A configuration given
+from outside, such as one read from a problem file, is at best within a
+tolerance of its class, so its rank is always one SVD of R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from math import comb, lcm, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import numeric_rank
-from .errors import InvalidFramework, UnsupportedDim
-from .graphs import Graph, bar_vectors, short_bars
+from ._numeric import block_rank, numeric_rank
+from .errors import InvalidFramework, NotAnAutomorphism, UnsupportedDim
+from .graphs import Graph, Permutation, bar_vectors, short_bars
+from .groups import OrthogonalOp, element_order
 
 __all__ = [
     "Framework",
     "RigidityReport",
     "rigidity_matrix",
     "affine_span_dim",
-    "trivial_motion_basis",
+    "PhaseBlock",
+    "phase_period",
+    "phase_split",
+    "phase_blocks",
     "rigidity_verdict",
 ]
+
+# Distinct eigenvalues of an orthogonal matrix of order L lie at least
+# 2 sin(pi / L) apart, far above this for any group symrig builds.
+EIGEN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,29 +148,118 @@ def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8) -> int:
     return numeric_rank(diffs, rtol)
 
 
-def trivial_motion_basis(framework: Framework) -> np.ndarray:
-    """Spanning set of trivial infinitesimal motions, one per row.
+class PhaseBlock(NamedTuple):
+    """What the block of R(p) for one phase lambda of T_g is built from.
 
-    d translations plus one rotation field u(v) = A p_v for each basis
-    element A of the skew-symmetric matrices. The rows may be linearly
-    dependent for degenerate configurations.
+    Each column is a lambda-eigenvector of T_g. cols[v] lists the columns
+    whose eigenvector is nonzero at joint v and vecs[v] holds those
+    d-vectors as its columns; both are padded, with the dummy column
+    `columns` and zero vectors, to d entries. Each row is a bar cycle of
+    length t with lambda^t = 1, read as sqrt(t) times the row of its first
+    bar, whose ends are `ends`.
     """
+
+    multiplicity: int
+    columns: int
+    ends: np.ndarray
+    scale: np.ndarray
+    cols: np.ndarray
+    vecs: np.ndarray
+
+
+def phase_period(op: OrthogonalOp, perm: Permutation) -> int:
+    """The order L of T_g for an operation and its joint permutation."""
+    return lcm(element_order(op), perm.order())
+
+
+def _eigenspace(matrix: np.ndarray, mu) -> np.ndarray:
+    """Orthonormal columns spanning the mu-eigenspace of an orthogonal matrix."""
+    _, sigma, vh = np.linalg.svd(matrix - mu * np.eye(len(matrix)))
+    return vh[sigma <= EIGEN_TOL].conj().T
+
+
+def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[PhaseBlock, ...] | None:
+    """The phase blocks of one operation, valid for every framework of its class.
+
+    The frameworks the blocks are applied to must satisfy M p_v = p_perm(v)
+    for op's matrix M. For a joint cycle (v_0 ... v_{s-1}) of perm the
+    lambda-eigenvectors of T_g are u_{v_j} = lambda^-j M^j w / sqrt(s), w
+    over an orthonormal basis of the lambda^s-eigenspace of M^s. Phases 0
+    and L/2 are real, the others complex and counted twice for their
+    conjugates. Blocks without rows or columns are dropped. None when the
+    eigenspaces fall short of d n columns, which orthogonal matrices of any
+    group symrig builds never do.
+    """
+    n, d, mat = graph.n, op.dim, op.matrix
+    period = phase_period(op, perm)
+    images = np.array(perm.images, dtype=int)
+    keys = graph.bars[:, 0] * n + graph.bars[:, 1]
+    moved = np.sort(images[graph.bars], axis=1)
+    moved_keys = moved[:, 0] * n + moved[:, 1]
+    bar_perm = np.searchsorted(keys, moved_keys)
+    if not np.array_equal(np.append(keys, -1)[bar_perm], moved_keys):
+        raise NotAnAutomorphism(f"image for {op.label} does not map bars to bars")
+    bar_cycles = Permutation(tuple(bar_perm.tolist())).cycles(include_fixed=True)
+    reps = np.array([c[0] for c in bar_cycles], dtype=int)
+    lengths = np.array([len(c) for c in bar_cycles], dtype=int)
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in perm.cycles(include_fixed=True):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    powers = [np.eye(d)]
+    for _ in range(max(by_length)):
+        powers.append(powers[-1] @ mat)
+    powers = np.array(powers)
+
+    blocks, total = [], 0
+    for k in range(period // 2 + 1):
+        real = 2 * k % period == 0
+        lam = (1.0 if k == 0 else -1.0) if real else np.exp(2j * np.pi * k / period)
+        cols = np.full((n, d), -1)
+        vecs = np.zeros((n, d, d), float if real else complex)
+        columns = 0
+        for s, cycles in by_length.items():
+            w = _eigenspace(powers[s], lam ** s)
+            m = w.shape[1]
+            if m == 0:
+                continue
+            joints = np.array(cycles, dtype=int)
+            vecs[joints, :, :m] = (lam ** -np.arange(s))[:, None, None] * (powers[:s] @ w) / sqrt(s)
+            cols[joints, :m] = columns + (m * np.arange(len(cycles)))[:, None, None] + np.arange(m)
+            columns += m * len(cycles)
+        cols[cols < 0] = columns
+        multiplicity = 1 if real else 2
+        total += multiplicity * columns
+        rows = (k * lengths) % period == 0
+        if columns and rows.any():
+            blocks.append(PhaseBlock(
+                multiplicity=multiplicity, columns=columns, ends=graph.bars[reps[rows]],
+                scale=np.sqrt(lengths[rows]), cols=cols, vecs=vecs,
+            ))
+    return tuple(blocks) if total == d * n else None
+
+
+def phase_blocks(framework: Framework, phases: tuple[PhaseBlock, ...]) -> list[tuple[np.ndarray, int]]:
+    """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs."""
     p = framework.coords
-    n, d = p.shape
-    fields = []
-    for k in range(d):
-        t = np.zeros((n, d))
-        t[:, k] = 1.0
-        fields.append(t.reshape(-1))
-    for a, b in combinations(range(d), 2):
-        skew = np.zeros((d, d))
-        skew[a, b] = 1.0
-        skew[b, a] = -1.0
-        fields.append((p @ skew.T).reshape(-1))
-    return np.array(fields)
+    out = []
+    for ph in phases:
+        a, b = ph.ends[:, 0], ph.ends[:, 1]
+        rows = (p[a] - p[b]) * ph.scale[:, None]
+        r = np.arange(len(rows))[:, None]
+        block = np.zeros((len(rows), ph.columns + 1), ph.vecs.dtype)
+        block[r, ph.cols[a]] = np.einsum("rd,rdc->rc", rows, ph.vecs[a])
+        # Both ends may lie in one joint cycle and share columns: add, do not assign.
+        block[r, ph.cols[b]] -= np.einsum("rd,rdc->rc", rows, ph.vecs[b])
+        out.append((block[:, :-1], ph.multiplicity))
+    return out
 
 
-def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_tol: float = 1e-8) -> RigidityReport:
+def rigidity_verdict(
+    framework: Framework,
+    rank_rtol: float = 1e-8,
+    framework_tol: float = 1e-8,
+    phases: tuple[PhaseBlock, ...] | None = None,
+) -> RigidityReport:
     """Decide infinitesimal rigidity, independence, and isostaticity.
 
     Rigid means every infinitesimal motion is trivial: d n - rank equals the
@@ -150,12 +267,15 @@ def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_to
     a that is C(d+1, 2) - C(d-a, 2): all of them when a >= d - 1, and less
     for points on a line (3D) or at one spot, whose rotations about that
     line or spot fix every joint. Independent means rank equals the bar
-    count; isostatic means both. The rank is one SVD of the rigidity matrix.
+    count; isostatic means both. The rank is one SVD of the rigidity matrix,
+    or, for a framework drawn from the class the phase split was built for,
+    the SVDs of its phase blocks.
     """
     framework.validate(framework_tol)
     g = framework.graph
     n, d = framework.n, framework.dim
-    rank = numeric_rank(rigidity_matrix(framework), rank_rtol)
+    blocks = [(rigidity_matrix(framework), 1)] if phases is None else phase_blocks(framework, phases)
+    rank = block_rank(blocks, rank_rtol)
     affine = affine_span_dim(framework.coords, rank_rtol)
     trivial = comb(d + 1, 2) - comb(d - affine, 2)
     rigid = d * n - rank == trivial

@@ -8,11 +8,20 @@ the images generate, and its basis is built one orbit at a time. Almost
 every point of U realizes the maximal rank the class can attain, which
 makes one sampled witness a sound certificate for rigidity properties of
 the whole class; negative verdicts from sampling remain probabilistic.
+
+Because every member of a class satisfies M_g p_v = p_{phi_g(v)} for
+each operation g, its rigidity matrix intertwines g's action on joint
+velocities with the bar permutation of phi_g, R(p) T_g = T_B R(p). Each
+class builds the phase split of one operation once (rigidity.phase_split)
+and decides the rank of each sampled member from its blocks. Classes
+with fewer than PHASE_MIN_COLUMNS columns keep one SVD of R, which is
+faster there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +36,13 @@ from .errors import (
 )
 from .graphs import Graph, is_automorphism
 from .groups import LinearSubspace, SymmetryGroup, fixed_subspace
-from .rigidity import Framework, rigidity_verdict
+from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdict
 
 KERNEL_RTOL = 1e-9
+# Columns (d n) from which a sampled member's rank is read from phase blocks.
+# On one BLAS thread a class of 96 columns breaks even once the split's
+# set-up (about 1 ms) is counted; at 192 columns a rank is 3 to 4 times faster.
+PHASE_MIN_COLUMNS = 128
 DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
 MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
 
@@ -66,6 +79,22 @@ class ConfigSpaceBasis:
     @property
     def dim(self) -> int:
         return self.group.dim
+
+    @cached_property
+    def phases(self) -> tuple[PhaseBlock, ...] | None:
+        """The phase split class members' ranks are read from, built once.
+
+        It is the split of the operation whose T_g has the largest order,
+        the first in group order on ties. None, for one SVD of R, below
+        PHASE_MIN_COLUMNS columns or when every T_g is the identity.
+        """
+        if self.dim * self.graph.n < PHASE_MIN_COLUMNS:
+            return None
+        periods = [phase_period(op, perm) for op, perm in zip(self.group.elements, self.phi.images)]
+        best = periods.index(max(periods))
+        if periods[best] == 1:
+            return None
+        return phase_split(self.graph, self.group.elements[best], self.phi[best])
 
     def coords_from(self, weights: np.ndarray) -> np.ndarray:
         """Configuration for a coefficient vector, reshaped to (n, d)."""
@@ -164,6 +193,8 @@ def sample_config(basis: ConfigSpaceBasis, seed: int = 0, framework_tol: float =
 
 def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_tol: float = 1e-8) -> list[Framework]:
     """count frameworks from one seeded stream (deterministic for a seed)."""
+    if count < 1:
+        raise BadParam(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     return [_draw_config(basis, rng, framework_tol) for _ in range(count)]
 
@@ -323,7 +354,7 @@ def sym_generic_verdict(
     best = witness = None
     for _ in range(trials):
         f = _draw_config(basis, rng, framework_tol)
-        report = rigidity_verdict(f, rank_rtol, framework_tol)
+        report = rigidity_verdict(f, rank_rtol, framework_tol, basis.phases)
         ranks.append(report.rank)
         if best is None or report.rank > best.rank:
             best, witness = report, f.coords

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis, numeric_rank
 from symrig.classify import enumerate_types, find_base_type
-from symrig.errors import CapExceeded, NotInSymmetryClass, NotRationalizable
+from symrig.errors import BadParam, CapExceeded, NotInSymmetryClass, NotRationalizable
 from symrig.graphs import Graph, Permutation
 from symrig.groups import schoenflies_group
 from symrig.oracle import (
@@ -144,6 +144,14 @@ class TestGenericCheck:
         for f in draw_samples(basis, 3, seed=4):
             report = exhaustive_generic_check(f.coords, prob.group, prob.phi.images)
             assert report.generic
+
+    @pytest.mark.parametrize("evals", [0, -1])
+    def test_needs_an_evaluation_point(self, evals):
+        # with no point every minor vanishing at p would count as vanishing identically
+        group, images = self.triangle_images()
+        p = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
+        with pytest.raises(BadParam):
+            exhaustive_generic_check(p, group, images, evals=evals)
 
     def test_vertex_cap(self):
         group, _ = self.triangle_images()

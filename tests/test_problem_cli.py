@@ -386,6 +386,18 @@ class TestCli:
         assert code == 3
         assert "trials" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sample_needs_a_count(self, capsys, count):
+        code, out = run_cli(capsys, "sample", "--fixture", "k33_phi_a", "--count", count)
+        assert code == 3
+        assert "count" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("evals", ["0", "-1"])
+    def test_oracle_generic_needs_an_evaluation_point(self, capsys, evals):
+        code, out = run_cli(capsys, "oracle", "generic", "--fixture", "gt_c2", "--evals", evals)
+        assert code == 3
+        assert "evals" in json.loads(out)["error"]
+
     def test_sample_draws_with_tol_geom(self, capsys):
         code, out = run_cli(capsys, "sample", "--fixture", "k33_phi_a", "--count", "20", "--tol-geom", "0.2")
         assert code == 0

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from symrig._numeric import numeric_rank
 from symrig.errors import InvalidFramework, UnsupportedDim
 from symrig.graphs import Graph
+from symrig.oracle import trivial_motion_basis
 from symrig.rigidity import (
     Framework,
     affine_span_dim,
     rigidity_matrix,
     rigidity_verdict,
-    trivial_motion_basis,
 )
 
 TRIANGLE = Graph.complete(3)

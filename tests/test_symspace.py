@@ -219,6 +219,12 @@ class TestSampling:
         for f, g in zip(batch, again):
             assert np.array_equal(f.coords, g.coords)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_draw_samples_needs_a_count(self, count):
+        _, _, _, basis = basis_for("k33_phi_a")
+        with pytest.raises(BadParam):
+            draw_samples(basis, count)
+
     def test_sample_config_is_the_first_draw_of_the_stream(self):
         _, _, _, basis = basis_for("k33_phi_a")
         assert np.array_equal(sample_config(basis, seed=11).coords, draw_samples(basis, 3, seed=11)[0].coords)
