@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Values that orthogonal operations built from the catalog hit exactly.
-_SNAP_TARGETS = np.array([0.0, 0.5, 1.0, -0.5, -1.0])
 
 
 def block_rank(blocks, rtol: float = 1e-8) -> int:
@@ -50,10 +48,13 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 
 def snap_matrix(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Snap entries within tol of 0, +-0.5, +-1 onto those exact values."""
+    """Snap entries within tol of 0, +-0.5, +-1 onto those exact values.
+
+    These are the values that orthogonal operations built from the catalog
+    hit exactly. A snapped zero is +0.0.
+    """
     a = np.array(matrix, dtype=float)
-    flat = a.reshape(-1)
-    for target in _SNAP_TARGETS:
-        near = np.abs(flat - target) <= tol
-        flat[near] = target
-    return flat.reshape(a.shape)
+    target = np.rint(2.0 * a) / 2.0
+    near = (np.abs(a - target) <= tol) & (np.abs(target) <= 1.0)
+    a[near] = target[near] + 0.0
+    return a

@@ -13,13 +13,23 @@ Orientation conventions, fixed for the whole library:
 
 Group elements are canonicalized by snapping entries that are within
 1e-12 of 0, +-0.5, +-1, and deduplicated at 1e-9 max-entry distance.
+
+Elements are looked up by key: each matrix is filed in a dict under its
+entries rounded to a fixed grid. A key hit is confirmed at the 1e-9
+distance; a miss or a failed confirm falls back to scanning every element,
+so a grid boundary can cost time but never change a match. The closure
+(close_group) uses this lookup and fills the multiplication table with the
+index of each product as it forms it. Groups given as explicit lists (the
+C/Cv/D/... catalog families and user-built SymmetryGroups) build the table
+one row at a time with the plain scan, which is faster for small groups;
+index_of, called only to restrict a type to a subgroup, scans too.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import atan2, cos, degrees, pi, sin, sqrt
 
@@ -38,6 +48,9 @@ from .errors import (
 
 MAX_GROUP_ORDER = 200
 MATCH_TOL = 1e-9
+# Element keys round entries to multiples of 2**-20: far coarser than the
+# rounding error of a product, far finer than the gap between two elements.
+_KEY_SCALE = float(2**20)
 
 
 class OrthogonalOp:
@@ -95,11 +108,31 @@ def _match(candidates: np.ndarray, stack: np.ndarray, tol: float = MATCH_TOL) ->
     return np.where(close.any(axis=1), close.argmax(axis=1), -1)
 
 
+def _keys(mats: np.ndarray) -> list[bytes]:
+    """Dict keys of a stack of matrices: their entries on the key grid."""
+    grid = np.rint(mats * _KEY_SCALE).astype(np.int64).reshape(len(mats), -1)
+    return grid.view(f"V{grid.shape[1] * 8}").ravel().tolist()  # one bytes object per matrix
+
+
+def _lookup(m: np.ndarray, key: bytes, by_key: dict, stack: np.ndarray) -> int:
+    """Index of the stack entry within MATCH_TOL of m, or -1.
+
+    A key hit confirmed at MATCH_TOL answers at once; otherwise _match scans
+    the whole stack, so a neighbour across a grid boundary is still found.
+    """
+    k = by_key.get(key, -1)
+    if k >= 0 and np.max(np.abs(stack[k] - m)) <= MATCH_TOL:
+        return k
+    return int(_match(m[None], stack)[0])
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
     """A finite orthogonal group; element 0 is always the identity.
 
     table[i, j] indexes the product of elements i and j, or is -1 if it is missing.
+    The closure hands in the table it filled (_table); otherwise each row is
+    matched against the elements here.
     """
 
     dim: int
@@ -108,14 +141,15 @@ class SymmetryGroup:
     table: np.ndarray = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
     _by_label: dict = field(init=False, repr=False)
+    _table: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _table: np.ndarray | None) -> None:
         if not self.elements:
             raise ValueError("a group needs at least the identity element")
         if not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
         stack = np.stack([op.matrix for op in self.elements])
-        table = np.stack([_match(m @ stack, stack) for m in stack])
+        table = np.stack([_match(m @ stack, stack) for m in stack]) if _table is None else _table
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_stack", stack)
@@ -216,7 +250,7 @@ def fixed_subspace(op: OrthogonalOp, rtol: float = 1e-9) -> LinearSubspace:
 # labeling by geometric classification
 
 
-def _angle_fraction(angle: float, max_den: int = 60) -> tuple[int, int] | None:
+def _angle_fraction(angle: float, max_den: int = MAX_GROUP_ORDER) -> tuple[int, int] | None:
     """Express angle as 2*pi*k/m if possible, returning reduced (k, m)."""
     x = (angle / (2.0 * pi)) % 1.0
     frac = Fraction(x).limit_denominator(max_den)
@@ -307,10 +341,11 @@ def _assign_labels(mats: list[np.ndarray], dim: int, overrides: dict[int, str] |
     return out
 
 
-def _wrap(mats: list[np.ndarray], dim: int, name: str, overrides: dict[int, str] | None = None) -> SymmetryGroup:
+def _wrap(mats: list[np.ndarray], dim: int, name: str, overrides: dict[int, str] | None = None,
+          table: np.ndarray | None = None) -> SymmetryGroup:
     labels = _assign_labels(mats, dim, overrides)
     ops = tuple(OrthogonalOp(m, lab) for m, lab in zip(mats, labels))
-    return SymmetryGroup(dim=dim, elements=ops, name=name)
+    return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +357,13 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
 
     Breadth-first, in order of first appearance: element g is multiplied by
     g and every element before it (g e, then e g), and a snapped product is
-    kept if it matches no element found so far. Raises NotClosedWithinBound
-    once more than max_order distinct elements exist.
+    kept if it matches no element found so far. Each product is looked up
+    by its key, a hit confirmed at MATCH_TOL and anything else scanned (see
+    the module docstring). Its index goes into the multiplication table as
+    it is formed, g e into g's row and e g into g's column, so the group
+    gets the finished table. Raises NotClosedWithinBound once more than
+    max_order distinct elements exist, and for max_order < 1, since the
+    identity alone is one element.
     """
     gens = [g.matrix if isinstance(g, OrthogonalOp) else np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -332,22 +372,42 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     if len(dims) != 1:
         raise DimensionMismatch(f"generators of mixed shapes {sorted(dims)}")
     checked = np.stack([OrthogonalOp(g).matrix for g in gens])
+    if max_order < 1:
+        raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
     dim = checked.shape[1]
     found = np.empty((max_order + 1, dim, dim))
     found[0] = np.eye(dim)
-    count, head, batch = 1, 1, checked
-    while True:
-        for m in batch[_match(batch, found[:count]) < 0]:
-            if _match(m[None], found[:count])[0] < 0:  # skip repeats within the batch
+    by_key = {_keys(found[:1])[0]: 0}
+    count = 1
+
+    def file_batch(batch: np.ndarray) -> np.ndarray:
+        """Index of each matrix in batch, appending the new ones in batch order."""
+        nonlocal count
+        keys = _keys(batch)
+        idx = np.array([by_key.get(key, -1) for key in keys])
+        hit = np.flatnonzero(idx >= 0)
+        far = np.abs(batch[hit] - found[idx[hit]]).max(axis=(1, 2)) > MATCH_TOL
+        idx[hit[far]] = -1
+        for t in np.flatnonzero(idx < 0):  # new elements, repeats of them, boundary cases
+            k = _lookup(batch[t], keys[t], by_key, found[:count])
+            if k < 0:
                 if count >= max_order:
                     raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
-                found[count] = m
+                found[count], k = batch[t], count
+                by_key.setdefault(keys[t], k)
                 count += 1
-        if head == count:
-            return _wrap(list(found[:count]), dim, name)
-        head += 1
-        reached, g = found[:head], found[head - 1]
-        batch = snap_matrix(np.stack([g @ reached, reached @ g], axis=1).reshape(-1, dim, dim))
+            idx[t] = k
+        return idx
+
+    file_batch(checked)
+    products = [np.zeros(2, dtype=int)]  # element 0: identity times identity
+    while len(products) < count:
+        g, reached = found[len(products)], found[:len(products) + 1]
+        products.append(file_batch(snap_matrix(np.stack([g @ reached, reached @ g], axis=1).reshape(-1, dim, dim))))
+    table = np.empty((count, count), dtype=int)
+    for i, idx in enumerate(products):
+        table[i, :i + 1], table[:i + 1, i] = idx[0::2], idx[1::2]
+    return _wrap(list(found[:count]), dim, name, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from symrig.errors import (
     UnsupportedDim,
 )
 from symrig.groups import (
+    _KEY_SCALE,
     _POLYHEDRAL_GENS,
     MATCH_TOL,
     OrthogonalOp,
@@ -27,6 +28,9 @@ from symrig.groups import (
     rot2,
     rot3,
     schoenflies_group,
+    _keys,
+    _lookup,
+    _match,
     _wrap,
     validate_group,
 )
@@ -84,6 +88,14 @@ class TestBuilders:
         assert element_order(OrthogonalOp(mirror2(0.3), "s")) == 2
         with pytest.raises(OrderBoundExceeded):
             element_order(OrthogonalOp(rot2(1.0), "r"), bound=50)
+
+    def test_snap_matrix(self):
+        m = np.array([[-1e-13, 0.5 + 1e-13, 1.0 - 1e-13],
+                      [-0.5 - 9e-13, -1.0 + 1e-13, 0.25],
+                      [1.5 + 1e-13, 2e-12, 1.0 + 2e-12]])
+        snapped = snap_matrix(m)
+        assert np.array_equal(snapped, [[0.0, 0.5, 1.0], [-0.5, -1.0, 0.25], m[2]])
+        assert not np.signbit(snapped[0, 0])
 
     def test_fixed_subspace_dims(self):
         assert fixed_subspace(OrthogonalOp(mirror2(0.0), "s")).dim == 1
@@ -329,9 +341,15 @@ def reference_closure(generators, max_order=200):
     return _wrap(elems, elems[0].shape[0], "reference")
 
 
+def match_table(stack):
+    """The multiplication table built one row at a time with _match."""
+    return np.stack([_match(m @ stack, stack) for m in stack])
+
+
 def assert_same_elements(group, reference):
     assert group.labels == reference.labels
     assert np.array_equal(group.matrices(), reference.matrices())
+    assert np.array_equal(group.table, match_table(group.matrices()))
 
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -348,13 +366,13 @@ GENERATOR_LISTS = {
 
 class TestTableClosure:
     @pytest.mark.parametrize("dim,name", [(2, n) for n in CATALOG_2D + ["C8v"]]
-                             + [(3, n) for n in CATALOG_3D if n not in ("I", "Ih")])
+                             + [(3, n) for n in CATALOG_3D])
     def test_catalog_elements_reclosed_in_reference_order(self, dim, name):
         catalog = schoenflies_group(name, dim)
         gens = list(catalog.matrices()[:0:-1]) or [np.eye(dim)]
         assert_same_elements(close_group(gens), reference_closure(gens))
 
-    @pytest.mark.parametrize("name", ["T", "Td", "Th", "O", "Oh"])
+    @pytest.mark.parametrize("name", ["T", "Td", "Th", "O", "Oh", "I", "Ih"])
     def test_polyhedral_catalog_matches_reference(self, name):
         reference = reference_closure(_POLYHEDRAL_GENS[name]())
         assert_same_elements(schoenflies_group(name, 3), reference)
@@ -377,6 +395,26 @@ class TestTableClosure:
         else:
             gens = [rot2(math.pi / 2)]
             assert_same_elements(close_group(gens, max_order=max_order), reference_closure(gens, max_order))
+
+    @pytest.mark.parametrize("max_order", [-1, -7])
+    def test_negative_bound_is_not_closed(self, max_order):
+        for gens in ([np.diag([-1.0, 1.0])], [np.eye(2)]):
+            with pytest.raises(NotClosedWithinBound):
+                close_group(gens, max_order=max_order)
+
+    def test_zero_bound_rejects_even_the_trivial_group(self):
+        with pytest.raises(NotClosedWithinBound):
+            close_group([np.eye(3)], max_order=0)
+        assert len(close_group([np.eye(3)], max_order=1)) == 1
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["T", "O", "Oh", "I"]), st.integers(0, 2**32 - 1))
+    def test_conjugated_generators_match_reference(self, name, seed):
+        # A random frame leaves no entry on a snap target or a key grid point.
+        rng = np.random.default_rng(seed)
+        q = rot3(rng.normal(size=3), rng.uniform(0.1, math.pi))
+        gens = [q @ g @ q.T for g in _POLYHEDRAL_GENS[name]()]
+        assert_same_elements(close_group(gens), reference_closure(gens))
 
     @pytest.mark.parametrize("name", ["C6v", "D3h", "Oh"])
     def test_table_matches_matrix_products(self, name):
@@ -401,3 +439,59 @@ class TestTableClosure:
     def test_index_of_unknown_matrix(self):
         with pytest.raises(UnknownName):
             schoenflies_group("C4", 2).index_of(rot2(1.0))
+
+
+def rotation_with_cosine(c):
+    s = math.sqrt(1.0 - c * c)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestKeyedLookup:
+    # A cosine on a grid point, and one half a grid step above it (rint
+    # rounds an exact half to the even neighbour, here the grid point).
+    GRID_COS = 2**19 / _KEY_SCALE + 2**16 / _KEY_SCALE
+    HALF_COS = GRID_COS + 0.5 / _KEY_SCALE
+
+    def stack_with(self, m):
+        return np.stack([np.eye(2), OrthogonalOp(m).matrix])
+
+    def test_match_across_a_grid_boundary(self):
+        stack = self.stack_with(rotation_with_cosine(self.HALF_COS))
+        candidate = rotation_with_cosine(self.HALF_COS + 1e-12)
+        (key,), (other,) = _keys(stack[1:]), _keys(candidate[None])
+        assert key != other
+        assert np.max(np.abs(candidate - stack[1])) <= MATCH_TOL
+        assert _lookup(candidate, other, {key: 1}, stack) == 1
+
+    def test_shared_key_beyond_tolerance_does_not_match(self):
+        stack = self.stack_with(rotation_with_cosine(self.GRID_COS))
+        candidate = rotation_with_cosine(self.GRID_COS + 1e-7)
+        (key,), (same,) = _keys(stack[1:]), _keys(candidate[None])
+        assert key == same
+        assert _lookup(candidate, same, {key: 1}, stack) == -1
+
+    def test_closure_confirms_key_hits(self):
+        # rot2(1e-7) and its first powers share the identity's key but lie
+        # farther from it than MATCH_TOL: each is a new element.
+        assert _keys(rot2(1e-7)[None]) == _keys(np.eye(2)[None])
+        with pytest.raises(NotClosedWithinBound):
+            close_group([rot2(1e-7)], max_order=50)
+
+
+class TestHighOrderLabels:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("order", [61, 100, 200])
+    def test_cyclic_generator_label(self, dim, order):
+        labels = schoenflies_group(f"C{order}", dim).labels
+        assert labels[:2] == ("Id", f"C{order}")
+        assert not any("#" in label for label in labels)
+
+    def test_dihedral_rotation_labels(self):
+        # The 61 half-turns share the base label C2 and are numbered, as in every Dm.
+        labels = schoenflies_group("D61", 3).labels
+        assert labels[:2] == ("Id", "C61")
+        assert not any("#" in label for label in labels[:61])
+
+    def test_irrational_rotation_keeps_angle_label(self):
+        assert _wrap([np.eye(2), rot2(1.0)], 2, "r").labels[1].startswith("R(")
+        assert _wrap([np.eye(3), rot3((0, 0, 1), 1.0)], 3, "r").labels[1].startswith("R(")
