@@ -7,15 +7,18 @@ such that moving a joint by x lands on the joint of alpha_x(v):
 
 Realizations of a graph under a group split into classes indexed by
 these assignments. The joint positions name each vertex's possible
-images, so every operation's set of valid choices is read straight from
-the automorphism search constrained by them. Each such set is a coset of
-the coincidence automorphisms (the identity's valid set), so a catalog
-is determined by one base type plus that subgroup.
+images, found for all operations in one pass over the element stack.
+An operation whose joints each have one possible image has that one
+valid choice; only operations onto coincident joints go to the
+constrained automorphism search. Each valid set is a coset of the
+coincidence automorphisms (the identity's valid set), so a catalog is
+one base type plus that subgroup, and has its size to the power |S|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -33,9 +36,10 @@ from .graphs import (
     Graph,
     Permutation,
     automorphisms,
-    coincidence_automorphisms,
+    coincidence_automorphisms,  # noqa: F401  bench/tracing.py wraps this name of classify
     format_cycles,
     is_automorphism,
+    iter_automorphisms,
     joint_matches,
     short_bars,
 )
@@ -55,6 +59,15 @@ class TypeAssignment:
 
     def __getitem__(self, i: int) -> Permutation:
         return self.images[i]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The images as one read-only (|S|, n) integer array, for checks over the whole type."""
+        if len({len(perm) for perm in self.images}) > 1:
+            raise LengthMismatch("type images act on different numbers of vertices")
+        array = np.array([perm.images for perm in self.images], dtype=int).reshape(len(self.images), -1)
+        array.setflags(write=False)
+        return array
 
     def as_dict(self, group: SymmetryGroup, graph: Graph) -> dict[str, str]:
         return {op.label: format_cycles(perm, graph.labels) for op, perm in zip(group.elements, self.images)}
@@ -89,23 +102,35 @@ def _check_shapes(graph: Graph, coords: np.ndarray, group: SymmetryGroup) -> np.
     return p
 
 
-def _valid_sets(
-    graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: float
-) -> tuple[tuple[Permutation, ...], ...] | None:
-    """Per element x, every alpha with x(p(v)) = p(alpha(v)), in lexicographic order.
+def _read_images(graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: float) -> list | None:
+    """Per element x, the alphas with x(p(v)) = p(alpha(v)) as read from the joints.
 
-    Read from the automorphism search with v -> w allowed only when x(p(v))
-    lies within tol of p(w). Element 0 is the identity, whose valid set is
-    the coincidence group. None when p is not a framework or some element
-    has no valid choice.
+    One pass over the element stack finds the joints w with x(p(v)) within
+    tol of p(w). Where each v has one such w, the entry is x's only valid
+    alpha, all confirmed by one batched automorphism check; elsewhere it is
+    the n x n match matrix for the constrained search. None when p is not
+    a framework or some element has no valid choice.
     """
     p = _check_shapes(graph, coords, group)
     if len(short_bars(graph, p, tol)):
         return None
-    sets = [tuple(coincidence_automorphisms(graph, p, tol))]
-    for op in group.elements[1:]:
-        sets.append(tuple(automorphisms(graph, allowed=joint_matches(p @ op.matrix.T, p, tol))))
-    return tuple(sets) if all(sets) else None
+    # at most about 2^18 joint pairs per pass, so large n stays small in memory
+    parts = np.array_split(group.matrices(), -(-len(group) * graph.n ** 2 // 2**18))
+    matches = np.concatenate([joint_matches(p @ np.swapaxes(part, 1, 2), p, tol) for part in parts])
+    single = (matches.sum(axis=2) == 1).all(axis=1)
+    images = matches.argmax(axis=2)
+    read = single & (np.sort(images, axis=1) == np.arange(graph.n)).all(axis=1)
+    if (single & ~read).any() or not is_automorphism(graph, images[read]).all():
+        return None
+    return [Permutation(tuple(row)) if ok else m for ok, row, m in zip(read, images.tolist(), matches)]
+
+
+def _first_choices(graph: Graph, read: list | None) -> tuple[Permutation, ...] | None:
+    """The lexicographically first valid alpha per element, None if some element has none."""
+    if read is None:
+        return None
+    firsts = [r if isinstance(r, Permutation) else next(iter_automorphisms(graph, allowed=r), None) for r in read]
+    return None if None in firsts else tuple(firsts)
 
 
 def verify_type(
@@ -119,15 +144,13 @@ def verify_type(
     p = _check_shapes(graph, coords, group)
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    for op, perm in zip(group.elements, phi.images):
-        if not is_automorphism(graph, perm):
-            raise NotAnAutomorphism(
-                f"image for {op.label} is not an automorphism: {format_cycles(perm, graph.labels)}"
-            )
-    return not len(short_bars(graph, p, tol)) and all(
-        joint_matches(p @ op.matrix.T, p, tol)[range(graph.n), perm.images].all()
-        for op, perm in zip(group.elements, phi.images)
-    )
+    mapped = is_automorphism(graph, phi.array)
+    if not mapped.all():
+        x = int(np.argmin(mapped))
+        cycles = format_cycles(phi[x], graph.labels)
+        raise NotAnAutomorphism(f"image for {group.elements[x].label} is not an automorphism: {cycles}")
+    moved = p @ np.swapaxes(group.matrices(), 1, 2)
+    return not len(short_bars(graph, p, tol)) and bool((np.linalg.norm(moved - p[phi.array], axis=-1) <= tol).all())
 
 
 def find_base_type(
@@ -141,8 +164,8 @@ def find_base_type(
     None when some element has no valid choice (the realization does not
     have the full symmetry) or the configuration is not a framework.
     """
-    sets = _valid_sets(graph, coords, group, tol)
-    return None if sets is None else TypeAssignment(tuple(s[0] for s in sets))
+    firsts = _first_choices(graph, _read_images(graph, coords, group, tol))
+    return None if firsts is None else TypeAssignment(firsts)
 
 
 def enumerate_types(
@@ -156,13 +179,24 @@ def enumerate_types(
     """All types of a realization: the product of the per-element valid sets.
 
     With normalized=True the identity operation is pinned to the identity
-    automorphism, leaving |Aut(G,p)| ^ (|S| - 1) assignments.
+    automorphism, leaving |Aut(G,p)| ^ (|S| - 1) assignments. Valid sets
+    are cosets of Aut(G,p), so its listing stops with ExplosionGuard once
+    its size to the power of the free slots exceeds max_product.
     """
-    sets = _valid_sets(graph, coords, group, tol)
-    if sets is None:
+    read = _read_images(graph, coords, group, tol)
+    firsts = _first_choices(graph, read)
+    if firsts is None:
         raise NotInSymmetryClass("the realization admits no type for this group")
-    base = TypeAssignment(tuple(s[0] for s in sets))
-    catalog = TypeCatalog(base=base, coincidence_group=sets[0], valid_sets=sets)
+    free = len(group) - 1 if normalized else len(group)
+    search = firsts[:1] if isinstance(read[0], Permutation) else iter_automorphisms(graph, allowed=read[0])
+    coincidence = []
+    for gamma in search:
+        coincidence.append(gamma)
+        if (least := len(coincidence) ** free) > max_product:
+            raise ExplosionGuard(f"at least {least} type assignments exceed the guard of {max_product}")
+    sets = (tuple(coincidence), *(
+        (r,) if isinstance(r, Permutation) else tuple(automorphisms(graph, allowed=r)) for r in read[1:]))
+    catalog = TypeCatalog(base=TypeAssignment(firsts), coincidence_group=sets[0], valid_sets=sets)
     slots = ((Permutation.identity(graph.n),), *sets[1:]) if normalized else sets
     total = prod(len(s) for s in slots)
     if total > max_product:
@@ -178,11 +212,9 @@ def is_homomorphism(group: SymmetryGroup, phi: TypeAssignment) -> bool:
     """
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    if len({len(perm) for perm in phi.images}) != 1:
-        raise LengthMismatch("type images act on different numbers of vertices")
+    images = phi.array
     if np.any(group.table < 0):
         raise UnknownName(f"{group.name or 'group'} is not closed under products")
-    images = np.array([perm.images for perm in phi.images])
     return all(np.array_equal(images[row], images[i][images]) for i, row in enumerate(group.table))
 
 

@@ -8,6 +8,7 @@ prints deterministic JSON (or SVG) to stdout, and uses exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,6 +229,7 @@ def cmd_oracle_generic(args) -> str:
     })
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symrig",

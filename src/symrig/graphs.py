@@ -154,15 +154,27 @@ class Graph:
             raise BadPermutation(f"unknown vertex name {label!r}") from None
 
 
-def is_automorphism(graph: Graph, perm: Permutation) -> bool:
-    """True iff perm maps the edge set of graph onto itself."""
-    if len(perm) != graph.n:
-        raise LengthMismatch(f"permutation length {len(perm)} does not match n={graph.n}")
-    for u, v in graph.edges:
-        a, b = perm(u), perm(v)
-        if (min(a, b), max(a, b)) not in graph.edges:
-            return False
-    return True
+def bar_images(graph: Graph, images: np.ndarray) -> np.ndarray:
+    """Where each bar goes under vertex images[..., n]: its row in graph.bars, or -1 for a non-bar."""
+    n = graph.n
+    keys = graph.bars[:, 0] * n + graph.bars[:, 1]
+    moved = np.sort(np.asarray(images)[..., graph.bars], axis=-1)
+    moved_keys = moved[..., 0] * n + moved[..., 1]
+    rows = np.searchsorted(keys, moved_keys)
+    return np.where(np.append(keys, -1)[rows] == moved_keys, rows, -1)
+
+
+def is_automorphism(graph: Graph, perm):
+    """True iff perm maps the edge set of graph onto itself.
+
+    perm may also be a (k, n) stack of images, one permutation of 0..n-1
+    per row; the answer is then one bool per row, from one pass over the bars.
+    """
+    images = np.asarray(perm.images if isinstance(perm, Permutation) else perm, dtype=int)
+    if images.shape[-1:] != (graph.n,):
+        raise LengthMismatch(f"images of shape {images.shape} do not act on n={graph.n} vertices")
+    mapped = (bar_images(graph, images) >= 0).all(axis=-1)
+    return bool(mapped) if images.ndim == 1 else mapped
 
 
 def bar_vectors(graph: Graph, p: np.ndarray) -> np.ndarray:
@@ -183,6 +195,11 @@ def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None) -> li
     partial-adjacency pruning. Exact and deterministic; refuses graphs
     larger than cap.
     """
+    return list(iter_automorphisms(graph, cap, allowed))
+
+
+def iter_automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None):
+    """The search of automorphisms(), lazily: a caller stops it by stopping iteration."""
     if graph.n > cap:
         raise CapExceeded(f"automorphism search capped at {cap} vertices, got {graph.n}")
     n = graph.n
@@ -192,27 +209,25 @@ def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None) -> li
                   for v in range(n)]
     images = [-1] * n
     used = [False] * n
-    found: list[Permutation] = []
 
-    def extend(k: int) -> None:
+    def extend(k: int):
         if k == n:
-            found.append(Permutation(tuple(images)))
+            yield Permutation(tuple(images))
             return
         for w in candidates[k]:
             if used[w] or any((j in adj[k]) != (images[j] in adj[w]) for j in range(k)):
                 continue
             images[k] = w
             used[w] = True
-            extend(k + 1)
+            yield from extend(k + 1)
             used[w] = False
 
-    extend(0)
-    return found
+    yield from extend(0)
 
 
 def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.ndarray:
-    """The n x n boolean matrix of targets[v] lying within tol of joint coords[w]."""
-    return np.linalg.norm(targets[:, None, :] - coords[None, :, :], axis=2) <= tol
+    """The boolean matrix of targets[..., v, :] lying within tol of joint coords[w], shape [..., n, n]."""
+    return np.linalg.norm(targets[..., :, None, :] - coords, axis=-1) <= tol
 
 
 def coincidence_automorphisms(graph: Graph, coords: np.ndarray, tol: float = 1e-9) -> list[Permutation]:

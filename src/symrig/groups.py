@@ -13,6 +13,9 @@ Orientation conventions, fixed for the whole library:
 
 Group elements are canonicalized by snapping entries that are within
 1e-12 of 0, +-0.5, +-1, and deduplicated at 1e-9 max-entry distance.
+Each group is checked, snapped and labelled in one pass over its element
+stack: batched determinants, traces and axes, and one match of every
+rotation angle against 2 pi k / m for all m up to MAX_GROUP_ORDER.
 
 Elements are looked up by key: each matrix is filed in a dict under its
 entries rounded to a fixed grid. A key hit is confirmed at the 1e-9
@@ -30,7 +33,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from math import atan2, cos, degrees, pi, sin, sqrt
 
 import numpy as np
@@ -53,27 +55,39 @@ MATCH_TOL = 1e-9
 _KEY_SCALE = float(2**20)
 
 
+def _orthogonal(mats) -> np.ndarray:
+    """A read-only snapped stack of finite orthogonal d x d matrices, d 2 or 3, within 1e-9."""
+    m = np.array(mats, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise NonOrthogonalGenerator(f"expected a square matrix, got shape {m.shape[1:]}")
+    if m.shape[1] not in (2, 3):
+        raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {m.shape[1]}")
+    if not np.all(np.isfinite(m)):
+        raise NonOrthogonalGenerator("matrix entries must be finite numbers")
+    if np.max(np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(m.shape[1])), initial=0.0) > 1e-9:
+        raise NonOrthogonalGenerator("matrix is not orthogonal within 1e-9")
+    if np.max(np.abs(np.abs(np.linalg.det(m)) - 1.0), initial=0.0) > 1e-9:
+        raise NonOrthogonalGenerator("matrix determinant is not +-1 within 1e-9")
+    m = snap_matrix(m)
+    m.setflags(write=False)
+    return m
+
+
 class OrthogonalOp:
     """A d x d orthogonal matrix with a printable label."""
 
     __slots__ = ("matrix", "label")
 
     def __init__(self, matrix, label: str = ""):
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonOrthogonalGenerator(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] not in (2, 3):
-            raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise NonOrthogonalGenerator("matrix entries must be finite numbers")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-9:
-            raise NonOrthogonalGenerator("matrix is not orthogonal within 1e-9")
-        if abs(abs(float(np.linalg.det(m))) - 1.0) > 1e-9:
-            raise NonOrthogonalGenerator("matrix determinant is not +-1 within 1e-9")
-        m = snap_matrix(m)
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = _orthogonal(np.asarray(matrix, dtype=float)[None])[0]
         self.label = label
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, label: str) -> "OrthogonalOp":
+        """An op from a matrix _orthogonal has already checked and snapped."""
+        op = cls.__new__(cls)
+        op.matrix, op.label = matrix, label
+        return op
 
     @property
     def dim(self) -> int:
@@ -250,17 +264,6 @@ def fixed_subspace(op: OrthogonalOp, rtol: float = 1e-9) -> LinearSubspace:
 # labeling by geometric classification
 
 
-def _angle_fraction(angle: float, max_den: int = MAX_GROUP_ORDER) -> tuple[int, int] | None:
-    """Express angle as 2*pi*k/m if possible, returning reduced (k, m)."""
-    x = (angle / (2.0 * pi)) % 1.0
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) > 1e-9:
-        return None
-    if frac.denominator == 1:
-        return (0, 1)
-    return (frac.numerator, frac.denominator)
-
-
 def _fmt_deg(angle: float, period: float) -> str:
     d = degrees(angle % period)
     rounded = round(d)
@@ -269,82 +272,77 @@ def _fmt_deg(angle: float, period: float) -> str:
     return f"{d:.4f}"
 
 
-def _signed_3d_angle(m: np.ndarray, angle: float) -> float:
-    """Angle in (0, 2*pi) about the canonically oriented rotation axis.
+def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
+    """The label of each matrix of a stack by its geometry, before repeats are numbered.
 
-    The trace only gives the angle up to sign; the antisymmetric part is
-    2 sin(angle) times the axis, so orienting the axis to have positive
-    first significant coordinate fixes the sense.
+    Id, i, rotations C<m>^k (R(degrees) when no m fits), mirrors s(line
+    degrees) in 2d and sh, sv(line degrees) or s in 3d, rotoreflections
+    S<m>^k or S(degrees). A 3d angle is signed about the axis with positive
+    first significant coordinate, read from the antisymmetric part 2 sin(angle) axis.
     """
-    v = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    for c in v:
-        if abs(c) > 1e-9:
-            return angle if c > 0 else 2.0 * pi - angle
-    return angle
+    eye, rows = np.eye(dim), np.arange(len(raw))
+    # math.atan2: np.arctan2 differs from it in the last bit on some inputs
+    theta = np.array([atan2(m[1, 0], m[0, 0]) for m in raw])
+    line = ((theta / 2.0) % pi).tolist()
+    identity = np.abs(raw - eye).max(axis=(1, 2)) <= MATCH_TOL
+    proper = np.linalg.det(raw) > 0
+    angle = theta % (2.0 * pi)
+    if dim == 3:
+        trace = np.trace(raw, axis1=1, axis2=2)
+        angle = np.arccos(np.clip(np.where(proper, trace - 1.0, trace + 1.0) / 2.0, -1.0, 1.0))
+        axis = np.stack([raw[:, 2, 1] - raw[:, 1, 2], raw[:, 0, 2] - raw[:, 2, 0], raw[:, 1, 0] - raw[:, 0, 1]], axis=1)
+        big = np.abs(axis) > 1e-9
+        angle = np.where(big.any(axis=1) & (axis[rows, big.argmax(axis=1)] < 0), 2.0 * pi - angle, angle)
+        inversion = np.abs(raw + eye).max(axis=(1, 2)) <= MATCH_TOL
+        symmetric = np.abs(raw - np.swapaxes(raw, 1, 2)).max(axis=(1, 2)) <= MATCH_TOL
+        mirror = symmetric & (np.abs(trace - 1.0) <= MATCH_TOL)
+        # A mirror is I - 2 n n^T, so its normal n is the longest column of I - M over that column's length.
+        cols = np.swapaxes(eye - raw, 1, 2)
+        longest = cols[rows, np.linalg.norm(cols, axis=2).argmax(axis=1)]
+        nz = (np.abs(longest[:, 2]) / np.maximum(np.linalg.norm(longest, axis=1), 1e-300)).tolist()
+    # angle = 2 pi k / m for the least m that fits within 1e-9; two fractions
+    # with m <= MAX_GROUP_ORDER lie 1/MAX_GROUP_ORDER^2 apart, so it is the closest too
+    x = (angle / (2.0 * pi)) % 1.0
+    den = np.arange(1, MAX_GROUP_ORDER + 1)
+    num = np.rint(x[:, None] * den)
+    fits = np.abs(num / den - x[:, None]) <= 1e-9
+    order = np.where(fits.any(axis=1), den[fits.argmax(axis=1)], 0).tolist()
+    turns = num[rows, fits.argmax(axis=1)].astype(int).tolist()
+    angle = angle.tolist()
 
+    def turn(name: str, free: str, i: int) -> str:
+        if order[i] <= 1:  # no fraction fits, or a whole turn
+            return f"{free}({_fmt_deg(angle[i], 2.0 * pi)})"
+        return f"{name}{order[i]}" if turns[i] == 1 else f"{name}{order[i]}^{turns[i]}"
 
-def _base_label(m: np.ndarray, dim: int) -> str:
-    eye = np.eye(dim)
-    if np.max(np.abs(m - eye)) <= MATCH_TOL:
-        return "Id"
-    if dim == 2:
-        if np.linalg.det(m) > 0:
-            angle = atan2(m[1, 0], m[0, 0]) % (2.0 * pi)
-            frac = _angle_fraction(angle)
-            if frac is None or frac == (0, 1):
-                return f"R({_fmt_deg(angle, 2.0 * pi)})"
-            k, order = frac
-            return f"C{order}" if k == 1 else f"C{order}^{k}"
-        line_angle = (atan2(m[1, 0], m[0, 0]) / 2.0) % pi
-        return f"s({_fmt_deg(line_angle, pi)})"
-    # dim == 3
-    if np.max(np.abs(m + eye)) <= MATCH_TOL:
-        return "i"
-    if np.linalg.det(m) > 0:
-        cos_t = min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))
-        angle = _signed_3d_angle(m, float(np.arccos(cos_t)))
-        frac = _angle_fraction(angle)
-        if frac is None or frac == (0, 1):
-            return f"R({_fmt_deg(angle, 2.0 * pi)})"
-        k, order = frac
-        return f"C{order}" if k == 1 else f"C{order}^{k}"
-    if np.max(np.abs(m - m.T)) <= MATCH_TOL and abs(np.trace(m) - 1.0) <= MATCH_TOL:
-        normal = kernel_basis(m + eye, 1e-9)
-        n = normal[0] if normal.shape[0] else np.array([0.0, 0.0, 1.0])
-        if abs(abs(n[2]) - 1.0) <= 1e-9:
+    def label(i: int) -> str:
+        if identity[i]:
+            return "Id"
+        if dim == 2:
+            return turn("C", "R", i) if proper[i] else f"s({_fmt_deg(line[i], pi)})"
+        if inversion[i]:
+            return "i"
+        if proper[i] or not mirror[i]:
+            return turn("C", "R", i) if proper[i] else turn("S", "S", i)
+        if abs(nz[i] - 1.0) <= 1e-9:
             return "sh"
-        if abs(n[2]) <= 1e-9:
-            line_angle = atan2(-n[0], n[1]) % pi
-            return f"sv({_fmt_deg(line_angle, pi)})"
-        return "s"
-    cos_t = min(1.0, max(-1.0, (np.trace(m) + 1.0) / 2.0))
-    angle = _signed_3d_angle(m, float(np.arccos(cos_t)))
-    frac = _angle_fraction(angle)
-    if frac is None or frac == (0, 1):
-        return f"S({_fmt_deg(angle, 2.0 * pi)})"
-    k, order = frac
-    return f"S{order}" if k == 1 else f"S{order}^{k}"
+        return f"sv({_fmt_deg(line[i], pi)})" if nz[i] <= 1e-9 else "s"
+
+    return [label(i) for i in range(len(raw))]
 
 
-def _assign_labels(mats: list[np.ndarray], dim: int, overrides: dict[int, str] | None = None) -> list[str]:
-    overrides = overrides or {}
-    base = [overrides.get(i) or _base_label(m, dim) for i, m in enumerate(mats)]
-    counts = Counter(base)
-    seen: dict[str, int] = {}
-    out = []
-    for b in base:
-        if counts[b] == 1:
-            out.append(b)
-        else:
-            seen[b] = seen.get(b, 0) + 1
-            out.append(f"{b}#{seen[b]}")
-    return out
-
-
-def _wrap(mats: list[np.ndarray], dim: int, name: str, overrides: dict[int, str] | None = None,
+def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None,
           table: np.ndarray | None = None) -> SymmetryGroup:
-    labels = _assign_labels(mats, dim, overrides)
-    ops = tuple(OrthogonalOp(m, lab) for m, lab in zip(mats, labels))
+    """A group checked, snapped and labelled in one pass over its stack; labels read the matrices as given."""
+    raw = np.array(mats, dtype=float)
+    stack = _orthogonal(raw)
+    overrides = overrides or {}
+    base = [overrides.get(i) or b for i, b in enumerate(_base_labels(raw, dim))]
+    counts, seen, labels = Counter(base), Counter(), []
+    for b in base:
+        seen[b] += 1
+        labels.append(b if counts[b] == 1 else f"{b}#{seen[b]}")
+    ops = tuple(OrthogonalOp._checked(m, lab) for m, lab in zip(stack, labels))
     return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table)
 
 
@@ -371,7 +369,7 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     dims = {g.shape for g in gens}
     if len(dims) != 1:
         raise DimensionMismatch(f"generators of mixed shapes {sorted(dims)}")
-    checked = np.stack([OrthogonalOp(g).matrix for g in gens])
+    checked = _orthogonal(gens)
     if max_order < 1:
         raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
     dim = checked.shape[1]
@@ -407,7 +405,7 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     table = np.empty((count, count), dtype=int)
     for i, idx in enumerate(products):
         table[i, :i + 1], table[:i + 1, i] = idx[0::2], idx[1::2]
-    return _wrap(list(found[:count]), dim, name, table=table)
+    return _wrap(found[:count], dim, name, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +603,12 @@ def validate_group(group: SymmetryGroup, ortho_tol: float = 1e-12, match_tol: fl
     eye = np.eye(dim)
     if np.max(np.abs(stack[0] - eye)) > match_tol:
         raise ValueError("element 0 is not the identity")
-    for i, op in enumerate(group.elements):
-        m = op.matrix
-        if np.max(np.abs(m.T @ m - eye)) > ortho_tol:
-            raise ValueError(f"element {i} ({op.label}) fails orthogonality at {ortho_tol}")
-        if abs(abs(np.linalg.det(m)) - 1.0) > ortho_tol * 10:
-            raise ValueError(f"element {i} ({op.label}) has non-unit determinant")
+    skew = np.abs(np.swapaxes(stack, 1, 2) @ stack - eye).max(axis=(1, 2)) > ortho_tol
+    bad = np.flatnonzero(skew | (np.abs(np.abs(np.linalg.det(stack)) - 1.0) > ortho_tol * 10))
+    if bad.size:
+        i = int(bad[0])
+        fault = f"fails orthogonality at {ortho_tol}" if skew[i] else "has non-unit determinant"
+        raise ValueError(f"element {i} ({group.elements[i].label}) {fault}")
     first = _match(stack, stack, match_tol)
     dup = np.flatnonzero(first != np.arange(count))
     if dup.size:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._numeric import block_rank, numeric_rank
 from .errors import InvalidFramework, NotAnAutomorphism, UnsupportedDim
-from .graphs import Graph, Permutation, bar_vectors, short_bars
+from .graphs import Graph, Permutation, bar_images, bar_vectors, short_bars
 from .groups import OrthogonalOp, element_order
 
 __all__ = [
@@ -192,12 +192,8 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     """
     n, d, mat = graph.n, op.dim, op.matrix
     period = phase_period(op, perm)
-    images = np.array(perm.images, dtype=int)
-    keys = graph.bars[:, 0] * n + graph.bars[:, 1]
-    moved = np.sort(images[graph.bars], axis=1)
-    moved_keys = moved[:, 0] * n + moved[:, 1]
-    bar_perm = np.searchsorted(keys, moved_keys)
-    if not np.array_equal(np.append(keys, -1)[bar_perm], moved_keys):
+    bar_perm = bar_images(graph, perm.images)
+    if np.any(bar_perm < 0):
         raise NotAnAutomorphism(f"image for {op.label} does not map bars to bars")
     bar_cycles = Permutation(tuple(bar_perm.tolist())).cycles(include_fixed=True)
     reps = np.array([c[0] for c in bar_cycles], dtype=int)

@@ -111,13 +111,12 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment, 
     """
     if len(phi) != len(group):
         raise NotAnAutomorphism(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    for op, perm in zip(group.elements, phi.images):
-        if not is_automorphism(graph, perm):
-            raise NotAnAutomorphism(f"image for {op.label} is not an automorphism")
     d, n = group.dim, graph.n
+    mapped = is_automorphism(graph, phi.array)
+    if not mapped.all():
+        raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
     first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
-    mats = group.matrices()[first:]
-    images = np.array([perm.images for perm in phi.images[first:]], dtype=int).reshape(len(mats), n)
+    mats, images = group.matrices()[first:], phi.array[first:]
     rows = [np.zeros((0, n, d))]
     for orbit in _orbits(n, phi.images):
         m = len(orbit)
@@ -134,12 +133,7 @@ def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignmen
     """Largest violation of the class constraints by a configuration."""
     graph = basis_or_graph.graph if isinstance(basis_or_graph, ConfigSpaceBasis) else basis_or_graph
     p = np.asarray(coords, dtype=float).reshape(graph.n, group.dim)
-    worst = 0.0
-    for x in range(len(group)):
-        moved = p @ group.elements[x].matrix.T
-        target = p[list(phi[x].images)]
-        worst = max(worst, float(np.max(np.abs(moved - target))))
-    return worst
+    return float(np.max(np.abs(p @ np.swapaxes(group.matrices(), 1, 2) - p[phi.array]), initial=0.0))
 
 
 def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> tuple[bool, list[tuple[int, int]]]:
@@ -149,15 +143,9 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> 
     vanishes on every basis vector of U, which makes every member of the
     class degenerate on that bar.
     """
-    d = basis.group.dim
-    offending = []
-    for u, v in graph.bars.tolist():
-        if basis.k == 0:
-            offending.append((u, v))
-            continue
-        diff = basis.basis[:, d * u: d * u + d] - basis.basis[:, d * v: d * v + d]
-        if np.max(np.abs(diff)) <= tol:
-            offending.append((u, v))
+    # One bar at a time: a (k, |E|, d) array of all differences would outgrow the basis itself.
+    p = basis.basis.reshape(basis.k, graph.n, basis.dim)
+    offending = [(u, v) for u, v in graph.bars.tolist() if np.max(np.abs(p[:, u] - p[:, v]), initial=0.0) <= tol]
     return (len(offending) > 0, offending)
 
 
@@ -225,12 +213,10 @@ def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> 
     orbits = _orbits(graph.n, phi.images)
     spaces = []
     for orbit in orbits:
-        stabilizer_rows = []
-        for x in range(len(group)):
-            if phi[x](orbit[0]) == orbit[0]:
-                stabilizer_rows.append(group.elements[x].matrix - np.eye(group.dim))
         # A homomorphic type maps the identity to the identity, so the rows are never empty.
-        spaces.append(LinearSubspace(group.dim, kernel_basis(np.vstack(stabilizer_rows), KERNEL_RTOL)))
+        fixing = [x for x in range(len(group)) if phi[x](orbit[0]) == orbit[0]]
+        stabilizer_rows = (group.matrices()[fixing] - np.eye(group.dim)).reshape(-1, group.dim)
+        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows, KERNEL_RTOL)))
     reps = tuple(orbit[0] for orbit in orbits)
     return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
 

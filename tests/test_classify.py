@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -400,3 +401,170 @@ class TestRestriction:
         _, _, group, phi = fixture_framework("k33_phi_a")
         with pytest.raises(UnknownName):
             restrict_type(group, phi, C2)
+
+
+# ---------------------------------------------------------------------------
+# direct reads, batched checks and the early guard against per-element references
+
+
+def reference_verify_type(graph, coords, group, phi, tol=1e-8):
+    """One joint comparison per element and vertex, as the rule reads."""
+    p = np.asarray(coords, dtype=float)
+    if any(np.linalg.norm(p[u] - p[v]) <= tol for u, v in graph.edges):
+        return False
+    return all(np.linalg.norm(op.matrix @ p[v] - p[perm(v)]) <= tol
+               for op, perm in zip(group.elements, phi.images) for v in range(graph.n))
+
+
+def reference_first_choices(graph, coords, group, tol=1e-8):
+    """The first automorphism of each element's own constrained search."""
+    p = np.asarray(coords, dtype=float)
+    firsts = [graphs.automorphisms(graph, allowed=graphs.joint_matches(p @ op.matrix.T, p, tol))[:1]
+              for op in group.elements]
+    return None if not all(firsts) else tuple(f[0] for f in firsts)
+
+
+class TestDirectReads:
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_instances(), st.data())
+    def test_base_type_and_verification_match_the_references(self, instance, data):
+        graph, coords, group = instance
+        if any(np.linalg.norm(coords[u] - coords[v]) <= 1e-8 for u, v in graph.edges):
+            return  # not a framework: neither reference applies
+        expected = reference_first_choices(graph, coords, group)
+        base = find_base_type(graph, coords, group)
+        assert (base is None) == (expected is None)
+        if base is None:
+            return
+        assert base.images == expected
+        auts = graphs.automorphisms(graph)
+        phi = TypeAssignment(tuple(data.draw(st.sampled_from(auts)) for _ in group.elements))
+        for candidate in (base, phi):
+            assert verify_type(graph, coords, group, candidate) == reference_verify_type(graph, coords, group, candidate)
+
+    def test_non_automorphism_named_by_its_element(self):
+        graph, coords, group, phi = fixture_framework("k33_phi_a")
+        broken = TypeAssignment((phi[0], perm("(v1 v4)", 6)))
+        with pytest.raises(NotAnAutomorphism, match=group.elements[1].label):
+            verify_type(graph, coords, group, broken)
+
+    def test_images_of_another_length(self):
+        graph, coords, group, _ = fixture_framework("k33_phi_a")
+        with pytest.raises(LengthMismatch):
+            verify_type(graph, coords, group, TypeAssignment((Permutation.identity(6), Permutation.identity(5))))
+
+
+def c3_placement(orbits, seed):
+    """Free orbits of 3D C3 (joint 3i + k at C3^k q_i) with orbit-closed random bars."""
+    rng = np.random.default_rng(seed)
+    group = schoenflies_group("C3", 3)
+    coords = np.array([m @ q for q in rng.uniform(-1.0, 1.0, (orbits, 3)) for m in group.matrices()])
+    n = 3 * orbits
+    rotate = [3 * (v // 3) + (v % 3 + 1) % 3 for v in range(n)]
+    edges = set()
+    while len(edges) < 2 * n:
+        u, v = (int(i) for i in rng.choice(n, 2, replace=False))
+        for _ in range(3):
+            edges.add((min(u, v), max(u, v)))
+            u, v = rotate[u], rotate[v]
+    return Graph.make(n, sorted(edges)), coords, group, Permutation(tuple(rotate))
+
+
+class TestAutoTypeAtScale:
+    def test_thirty_joint_placement_resolves(self):
+        # more joints than graphs.AUTOMORPHISM_CAP: every image is read from the joints
+        graph, coords, group, rotate = c3_placement(10, seed=3)
+        assert graph.n > graphs.AUTOMORPHISM_CAP
+        phi = find_base_type(graph, coords, group)
+        assert phi is not None
+        assert phi.images == (Permutation.identity(30), rotate, rotate.compose(rotate))
+        catalog, types = enumerate_types(graph, coords, group)
+        assert catalog.count == 1 and types == [phi]
+        assert verify_type(graph, coords, group, phi)
+
+    def test_thirty_joint_placement_analyzes_on_the_cli(self, tmp_path, capsys):
+        from symrig.cli import main
+
+        graph, coords, _, _ = c3_placement(10, seed=3)
+        names = list(graph.labels)
+        problem = {
+            "name": "c3_thirty", "dim": 3, "vertices": names,
+            "edges": [[names[u], names[v]] for u, v in graph.bars.tolist()],
+            "group": {"schoenflies": "C3"}, "type": "auto",
+            "coords": {name: row.tolist() for name, row in zip(names, coords)}, "seed": 1,
+        }
+        path = tmp_path / "c3_thirty.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        assert main(["analyze", "--problem", str(path), "--trials", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["type"]["assignment"]["Id"] == "id"
+        assert out["given_configuration"]["satisfies_type"] is True
+
+
+def coincident_cluster(n):
+    """n joints at the origin, no bars, under planar C2: every permutation is valid for each element."""
+    return Graph.make(n, []), np.zeros((n, 2)), C2
+
+
+class TestEarlyGuard:
+    def _counting(self, monkeypatch):
+        listed = []
+        search = graphs.iter_automorphisms
+
+        def counted(*args, **kwargs):
+            for alpha in search(*args, **kwargs):
+                listed.append(alpha)
+                yield alpha
+
+        monkeypatch.setattr("symrig.classify.iter_automorphisms", counted)
+        return listed
+
+    def test_nine_coincident_joints_stop_early(self, monkeypatch):
+        listed = self._counting(monkeypatch)
+        with pytest.raises(ExplosionGuard):
+            enumerate_types(*coincident_cluster(9))
+        # 317^2 > 100000 >= 316^2: the coincidence search stops at 317 of its 9! automorphisms,
+        # after one first choice for each of the two elements
+        assert len(listed) == 2 + 317
+
+    def test_twelve_coincident_joints_normalized(self, monkeypatch):
+        listed = self._counting(monkeypatch)
+        with pytest.raises(ExplosionGuard):
+            enumerate_types(*coincident_cluster(12), normalized=True)
+        assert len(listed) == 2 + 100_001
+
+    def test_guard_bound_is_exact(self):
+        # three coincident joints: 3! = 6 coincidences, 6^2 = 36 types under C2
+        graph, coords, group = coincident_cluster(3)
+        catalog, types = enumerate_types(graph, coords, group, max_product=36)
+        assert catalog.count == len(types) == 36
+        with pytest.raises(ExplosionGuard):
+            enumerate_types(graph, coords, group, max_product=35)
+        _, normalized = enumerate_types(graph, coords, group, normalized=True, max_product=6)
+        assert len(normalized) == 6
+
+    def test_types_command_exits_with_the_guard(self, tmp_path, capsys):
+        from symrig.cli import main
+
+        names = [f"v{i}" for i in range(9)]
+        problem = {"name": "nine", "dim": 2, "vertices": names, "edges": [],
+                   "group": {"schoenflies": "C2"}, "type": "auto",
+                   "coords": {name: [0.0, 0.0] for name in names}}
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        assert main(["types", "--problem", str(path)]) == 3
+        assert "exceed the guard of 100000" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_single_matches_that_collide_admit_no_type(self):
+        # Under C3 with tol 0.1 the rotation R sends each joint within tol of exactly one
+        # joint, but v1 and v2 (0.15 apart) both land by b, and no joint lands by v2.
+        group = schoenflies_group("C3", 2)
+        r, tol = group.matrices()[1], 0.1
+        a, e = np.array([3.0, 0.0]), np.array([1.0, 0.0])
+        mid = a + 0.075 * e
+        u = r @ r @ mid + np.linalg.solve(r, -0.05 * e)
+        coords = np.array([a, a + 0.15 * e, r @ mid, u])
+        matches = graphs.joint_matches(coords @ r.T, coords, tol)
+        assert matches.sum(axis=1).tolist() == [1, 1, 1, 1]
+        assert np.argmax(matches, axis=1).tolist() == [2, 2, 3, 0]
+        assert find_base_type(Graph.make(4, []), coords, group, tol) is None

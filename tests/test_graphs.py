@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from symrig.graphs import (
     Graph,
     Permutation,
     automorphisms,
+    bar_images,
     bar_vectors,
     coincidence_automorphisms,
     format_cycles,
     is_automorphism,
+    iter_automorphisms,
+    joint_matches,
     parse_cycles,
     short_bars,
 )
@@ -180,6 +185,57 @@ class TestAutomorphisms:
     def test_allowed_does_not_lift_the_cap(self):
         with pytest.raises(CapExceeded):
             automorphisms(Graph.cycle(13), cap=12, allowed=np.eye(13, dtype=bool))
+
+
+def loop_is_automorphism(graph, images):
+    """The per-edge rule: every edge's image is an edge."""
+    return all((min(images[u], images[v]), max(images[u], images[v])) in graph.edges for u, v in graph.edges)
+
+
+class TestBatchedAutomorphismCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stack_matches_the_per_edge_loop(self, data):
+        n = data.draw(st.integers(1, 9))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph.make(n, edges)
+        stack = data.draw(st.lists(st.permutations(range(n)), max_size=8))
+        # the graph's own automorphisms too, so that both answers occur
+        stack += [list(a.images) for a in islice(iter_automorphisms(g), 4)]
+        images = np.array(stack, dtype=int).reshape(len(stack), n)
+        expected = [loop_is_automorphism(g, row) for row in stack]
+        assert is_automorphism(g, images).tolist() == expected
+        for row, ok in zip(stack, expected):
+            assert is_automorphism(g, Permutation(tuple(row))) is ok
+            moved = bar_images(g, np.array(row))
+            assert np.array_equal(moved >= 0, [(min(row[u], row[v]), max(row[u], row[v])) in g.edges
+                                               for u, v in g.bars.tolist()])
+            assert all(tuple(g.bars[k]) == tuple(sorted((row[u], row[v])))
+                       for k, (u, v) in zip(moved, g.bars.tolist()) if k >= 0)
+
+    def test_graph_without_bars(self):
+        g = Graph.make(3, [])
+        assert is_automorphism(g, np.array([[1, 2, 0], [0, 1, 2]])).tolist() == [True, True]
+        assert is_automorphism(g, np.zeros((0, 3), dtype=int)).shape == (0,)
+
+    def test_stack_of_the_wrong_width(self):
+        with pytest.raises(LengthMismatch):
+            is_automorphism(Graph.cycle(4), np.array([[0, 1, 2]]))
+
+    def test_search_is_lazy(self):
+        # 10 joints at one spot and no bars: 10! automorphisms, of which only three are formed
+        g = Graph.make(10, [])
+        search = iter_automorphisms(g, allowed=joint_matches(np.zeros((10, 2)), np.zeros((10, 2)), 1e-9))
+        first = [next(search) for _ in range(3)]
+        assert [p.images[7:] for p in first] == [(7, 8, 9), (7, 9, 8), (8, 7, 9)]
+        assert all(p.images[:7] == tuple(range(7)) for p in first)
+
+    def test_joint_matches_over_a_stack(self):
+        p = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-12]])
+        stacked = joint_matches(np.stack([p, p[::-1]]), p, 1e-9)
+        assert np.array_equal(stacked[0], joint_matches(p, p, 1e-9))
+        assert np.array_equal(stacked[1], joint_matches(p[::-1], p, 1e-9))
 
 
 class TestCycleNotation:

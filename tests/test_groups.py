@@ -1,11 +1,13 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrig._numeric import snap_matrix
+from symrig._numeric import kernel_basis, snap_matrix
 from symrig.errors import (
     BadParam,
     NonOrthogonalGenerator,
@@ -18,6 +20,7 @@ from symrig.groups import (
     _KEY_SCALE,
     _POLYHEDRAL_GENS,
     MATCH_TOL,
+    MAX_GROUP_ORDER,
     OrthogonalOp,
     SymmetryGroup,
     close_group,
@@ -28,6 +31,8 @@ from symrig.groups import (
     rot2,
     rot3,
     schoenflies_group,
+    _base_labels,
+    _fmt_deg,
     _keys,
     _lookup,
     _match,
@@ -495,3 +500,152 @@ class TestHighOrderLabels:
     def test_irrational_rotation_keeps_angle_label(self):
         assert _wrap([np.eye(2), rot2(1.0)], 2, "r").labels[1].startswith("R(")
         assert _wrap([np.eye(3), rot3((0, 0, 1), 1.0)], 3, "r").labels[1].startswith("R(")
+
+
+# ---------------------------------------------------------------------------
+# batched labels and checks against the per-element rule
+
+
+def reference_fraction(angle):
+    """angle as 2 pi k / m, reduced, from the closest fraction with m <= 200, or None."""
+    x = (angle / (2.0 * math.pi)) % 1.0
+    frac = Fraction(x).limit_denominator(MAX_GROUP_ORDER)
+    if abs(float(frac) - x) > 1e-9:
+        return None
+    return (0, 1) if frac.denominator == 1 else (frac.numerator, frac.denominator)
+
+
+def reference_turn(name, free, angle):
+    frac = reference_fraction(angle)
+    if frac is None or frac == (0, 1):
+        return f"{free}({_fmt_deg(angle, 2.0 * math.pi)})"
+    k, order = frac
+    return f"{name}{order}" if k == 1 else f"{name}{order}^{k}"
+
+
+def reference_signed_angle(m, angle):
+    for c in (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]):
+        if abs(c) > 1e-9:
+            return angle if c > 0 else 2.0 * math.pi - angle
+    return angle
+
+
+def reference_label(m, dim):
+    """One matrix's label: a Fraction per rotation angle and an SVD per mirror normal."""
+    eye = np.eye(dim)
+    if np.max(np.abs(m - eye)) <= MATCH_TOL:
+        return "Id"
+    if dim == 2:
+        if np.linalg.det(m) > 0:
+            return reference_turn("C", "R", math.atan2(m[1, 0], m[0, 0]) % (2.0 * math.pi))
+        return f"s({_fmt_deg((math.atan2(m[1, 0], m[0, 0]) / 2.0) % math.pi, math.pi)})"
+    if np.max(np.abs(m + eye)) <= MATCH_TOL:
+        return "i"
+    if np.linalg.det(m) > 0:
+        cos_t = min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))
+        return reference_turn("C", "R", reference_signed_angle(m, float(np.arccos(cos_t))))
+    if np.max(np.abs(m - m.T)) <= MATCH_TOL and abs(np.trace(m) - 1.0) <= MATCH_TOL:
+        n = kernel_basis(m + eye, 1e-9)[0]
+        if abs(abs(n[2]) - 1.0) <= 1e-9:
+            return "sh"
+        if abs(n[2]) <= 1e-9:
+            return f"sv({_fmt_deg(math.atan2(-n[0], n[1]) % math.pi, math.pi)})"
+        return "s"
+    cos_t = min(1.0, max(-1.0, (np.trace(m) + 1.0) / 2.0))
+    return reference_turn("S", "S", reference_signed_angle(m, float(np.arccos(cos_t))))
+
+
+def reference_labels(mats, dim, overrides=None):
+    base = [(overrides or {}).get(i) or reference_label(m, dim) for i, m in enumerate(mats)]
+    counts, seen, out = Counter(base), Counter(), []
+    for b in base:
+        seen[b] += 1
+        out.append(b if counts[b] == 1 else f"{b}#{seen[b]}")
+    return tuple(out)
+
+
+ORDERS = list(range(2, 13)) + [61]
+LABEL_CATALOG = (
+    [(2, n) for n in ["C1", "Cs", "C100", "C200", "C100v"] + [f"C{m}" for m in ORDERS] + [f"C{m}v" for m in ORDERS]]
+    + [(3, n) for n in ["C1", "Cs", "Ci", "T", "Td", "Th", "O", "Oh", "I", "Ih", "C100", "C200", "S200"]]
+    + [(3, f"{f}{m}{s}") for f, s in (("C", ""), ("C", "v"), ("C", "h"), ("D", "")) for m in ORDERS]
+    + [(3, f"D{m}{s}") for s in ("h", "d") for m in list(range(2, 13)) + [50]]
+    + [(3, f"S{2 * m}") for m in range(2, 13)]
+)
+
+
+class TestBatchedLabels:
+    @pytest.mark.parametrize("dim, name", LABEL_CATALOG, ids=[f"{d}d-{n}" for d, n in LABEL_CATALOG])
+    def test_catalog_labels_match_the_per_element_rule(self, dim, name):
+        group = schoenflies_group(name, dim)
+        assert group.labels == reference_labels(group.matrices(), dim, {1: "s"} if name == "Cs" else None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_random_operations_match_the_per_element_rule(self, seed, dim):
+        # rotations by 2 pi k / m and by random angles, mirrors, rotoreflections, in random frames
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(12):
+            m = int(rng.integers(1, 25))
+            angle = 2.0 * math.pi * int(rng.integers(0, m)) / m if rng.random() < 0.7 else rng.uniform(0, 7)
+            if dim == 2:
+                mats.append(rot2(angle) if rng.random() < 0.5 else mirror2(angle / 2.0))
+                continue
+            axis = rng.normal(size=3) if rng.random() < 0.5 else np.eye(3)[int(rng.integers(0, 3))]
+            kind = int(rng.integers(0, 4))
+            vertical = np.array([-math.sin(angle), math.cos(angle), 0.0])
+            mats.append([rot3(axis, angle), mirror3(axis), mirror3(vertical),
+                         mirror3(axis) @ rot3(axis, angle)][kind])
+        stack = np.array(mats)
+        assert _base_labels(stack, dim) == [reference_label(m, dim) for m in stack]
+
+    def test_mirror_normals_near_the_axis(self):
+        # |n_z| within 1e-9 of 1 or of 0, or just beyond; a tilt t moves |n_z| from 1 by t^2 / 2
+        normals = [(0.0, 1e-5, 1.0), (0.0, 1e-4, 1.0), (1.0, 2.0, 1e-10), (1.0, 2.0, 1e-6)]
+        stack = np.array([mirror3(n) for n in normals])
+        assert _base_labels(stack, 3) == ["sh", "s", "sv(153.4349)", "s"]
+        assert _base_labels(stack, 3) == [reference_label(m, 3) for m in stack]
+
+    def test_group_from_random_frame_generators(self):
+        q = rot3((0.3, -1.2, 0.7), 0.9)
+        group = close_group([q @ g @ q.T for g in _POLYHEDRAL_GENS["Ih"]()])
+        assert group.labels == reference_labels(group.matrices(), 3)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, 0.1], [0.0, 1.0]]),  # not orthogonal
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, math.inf], [0.0, 1.0]]),
+        2.0 * np.eye(2),  # a scaled identity
+    ])
+    def test_batched_path_rejects_bad_matrices(self, bad):
+        with pytest.raises(NonOrthogonalGenerator):
+            _wrap([np.eye(2), rot2(math.pi / 2), bad], 2, "bad")
+        with pytest.raises(NonOrthogonalGenerator):
+            close_group([rot2(math.pi / 2), bad])
+
+    def test_batched_path_rejects_other_dimensions(self):
+        with pytest.raises(UnsupportedDim):
+            _wrap([np.eye(4), np.eye(4)], 4, "bad")
+        with pytest.raises(NonOrthogonalGenerator):
+            _wrap([np.eye(3)[:2]], 3, "bad")
+
+    def test_wrapped_ops_equal_checked_ops(self):
+        group = schoenflies_group("C6v", 2)
+        raw = [rot2(2.0 * math.pi * k / 6) for k in range(6)] + [mirror2(math.pi * k / 6) for k in range(6)]
+        for op, m in zip(group.elements, raw):
+            assert np.array_equal(op.matrix, OrthogonalOp(m).matrix)
+            assert not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("stretch, fault", [(1e-11, "fails orthogonality"), (0.0, None)])
+    def test_validator_checks_every_element_at_its_tolerance(self, stretch, fault):
+        # orthogonal within the 1e-9 of OrthogonalOp, but not within the validator's 1e-12
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(-np.eye(2), "C2"),
+               OrthogonalOp(rot2(math.pi / 2) * (1.0 + stretch), "C4"),
+               OrthogonalOp(rot2(-math.pi / 2), "C4^3"))
+        group = SymmetryGroup(dim=2, elements=ops, name="C4")
+        if fault is None:
+            validate_group(group)
+            return
+        with pytest.raises(ValueError, match=f"element 2 \\(C4\\) {fault}"):
+            validate_group(group)

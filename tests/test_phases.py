@@ -50,7 +50,9 @@ def assert_phases_match(graph, group, phi, framework):
         size = max(len(sigma), len(full))
         ours = np.pad(np.sort(sigma)[::-1], (0, size - len(sigma)))
         theirs = np.pad(full, (0, size - len(full)))
-        assert np.max(np.abs(ours - theirs), initial=0.0) <= 1e-12 * top, op.label
+        # Rounding enters with the coordinates, whose size can exceed sigma_1 by far when the bars are short.
+        scale = max(top, float(np.max(np.abs(framework.coords))))
+        assert np.max(np.abs(ours - theirs), initial=0.0) <= 1e-12 * scale, op.label
 
 
 @st.composite
@@ -166,6 +168,19 @@ def test_phase_rank_on_fixed_and_reversed_bars(case):
     graph, group, phi = _class(*SPECIAL[case])
     for f in draw_samples(config_space_basis(graph, group, phi), 5, seed=3):
         assert_phases_match(graph, group, phi, f)
+
+
+def test_short_bars_against_unit_coordinates():
+    # Two bars of length 2.5e-4 in a class whose points reach 1: sigma_1 = 3.5e-4, but the
+    # sample meets its class constraints only to the rounding of unit coordinates, and the
+    # identity's blocks differ from R by 5.6e-16 > 1e-12 sigma_1.
+    group = schoenflies_group("C2v", 3)
+    phi = TypeAssignment(tuple(Permutation(images) for images in [(2, 3, 0, 1), (3, 2, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2)]))
+    graph = Graph.make(4, [(0, 3), (1, 2)])
+    f = draw_samples(config_space_basis(graph, group, phi), 1, seed=504)[0]
+    sigma = np.linalg.svd(rigidity_matrix(f), compute_uv=False)
+    assert sigma[0] < 1e-3 and np.max(np.abs(f.coords)) == 1.0
+    assert_phases_match(graph, group, phi, f)
 
 
 def test_phase_rank_on_an_axis_orbit_under_d3h():

@@ -552,3 +552,15 @@ class TestSvg:
         # four clusters of two joints each: eight circles, four badges
         assert self.count(out, '<circle class="joint"') == 8
         assert self.count(out, ">×2</text>") == 4
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from symrig.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert main(["types", "--fixture", "k33_phi_a"]) == 0
+    first = capsys.readouterr().out
+    assert main(["empty-check", "--fixture", "k33_phi_a"]) == 0
+    assert main(["types", "--fixture", "k33_phi_a"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(first) and '"empty": false' in out

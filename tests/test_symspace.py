@@ -359,3 +359,38 @@ class TestVerdicts:
         assert d["empty"] is True
         assert d["offending_edges"] == [["v1", "v2"]]
         assert "witness" not in d
+
+
+class TestArrayPassesAgainstLoops:
+    """The batched emptiness test, residual and stabilizers against per-bar and per-element loops."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_forced_bars_and_residual(self, name):
+        prob = load_fixture(name)
+        phi = prob.phi if prob.phi is not None else find_base_type(prob.graph, prob.coords, prob.group)
+        basis = config_space_basis(prob.graph, prob.group, phi)
+        d = prob.group.dim
+        forced = [(u, v) for u, v in prob.graph.bars.tolist()
+                  if basis.k == 0 or np.max(np.abs(basis.basis[:, d * u: d * u + d] - basis.basis[:, d * v: d * v + d])) <= 1e-9]
+        assert class_is_empty(prob.graph, basis) == (bool(forced), forced)
+        for coords in [row.reshape(prob.graph.n, d) for row in basis.basis] + [np.ones((prob.graph.n, d))]:
+            worst = max(float(np.max(np.abs(coords @ op.matrix.T - coords[list(perm.images)])))
+                        for op, perm in zip(prob.group.elements, phi.images))
+            assert constraint_residual(basis, prob.group, phi, coords) == worst
+
+    @pytest.mark.parametrize("name", HOMOMORPHIC)
+    def test_stabilizer_spaces(self, name):
+        prob = load_fixture(name)
+        structure = orbit_structure(prob.graph, prob.group, prob.phi)
+        for orbit, space in zip(structure.orbits, structure.fixed_spaces):
+            rows = [op.matrix - np.eye(prob.group.dim) for op, perm in zip(prob.group.elements, prob.phi.images)
+                    if perm(orbit[0]) == orbit[0]]
+            assert np.array_equal(space.basis, kernel_basis(np.vstack(rows), 1e-9))
+
+    def test_class_without_basis_forces_every_bar(self):
+        # joints 0 and 1 coincide, and the half turn pins them and joint 2 to the origin
+        graph = Graph.make(3, [(0, 2), (1, 2)])
+        phi = TypeAssignment((Permutation((1, 0, 2)), Permutation((1, 0, 2))))
+        basis = config_space_basis(graph, C2, phi)
+        assert basis.k == 0
+        assert class_is_empty(graph, basis) == (True, [(0, 2), (1, 2)])
