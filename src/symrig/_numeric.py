@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+SNAP_TOL = 1e-12  # entries this close to 0, +-0.5 or +-1 are taken for that value plus rounding error
 
 
 def block_rank(blocks, rtol: float = 1e-8) -> int:
@@ -47,14 +48,14 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return vh[rank:].copy()
 
 
-def snap_matrix(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Snap entries within tol of 0, +-0.5, +-1 onto those exact values.
+def snap_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Snap entries within SNAP_TOL of 0, +-0.5, +-1 onto those exact values.
 
     These are the values that orthogonal operations built from the catalog
     hit exactly. A snapped zero is +0.0.
     """
     a = np.array(matrix, dtype=float)
     target = np.rint(2.0 * a) / 2.0
-    near = (np.abs(a - target) <= tol) & (np.abs(target) <= 1.0)
+    near = (np.abs(a - target) <= SNAP_TOL) & (np.abs(target) <= 1.0)
     a[near] = target[near] + 0.0
     return a

@@ -223,7 +223,6 @@ def find_homomorphic_type(
     coords: np.ndarray,
     group: SymmetryGroup,
     tol: float = 1e-8,
-    max_product: int = MAX_TYPE_PRODUCT,
 ) -> TypeAssignment | None:
     """First type in catalog order that is a homomorphism, if any.
 
@@ -231,7 +230,7 @@ def find_homomorphic_type(
     automorphism, so only the normalized catalog needs scanning. With a
     trivial coincidence group the unique type is returned directly.
     """
-    catalog, types = enumerate_types(graph, coords, group, tol, normalized=True, max_product=max_product)
+    catalog, types = enumerate_types(graph, coords, group, tol, normalized=True)
     if len(catalog.coincidence_group) == 1:
         return types[0]
     for phi in types:

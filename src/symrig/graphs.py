@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BadPermutation, CapExceeded, LengthMismatch, SelfLoop
 
 AUTOMORPHISM_CAP = 12
+COINCIDENT_JOINT_TOL = 1e-9  # joints this close count as one position for coincidence_automorphisms
 
 
 @dataclass(frozen=True, order=True)
@@ -187,21 +188,21 @@ def short_bars(graph: Graph, p: np.ndarray, tol: float) -> np.ndarray:
     return graph.bars[np.linalg.norm(bar_vectors(graph, p), axis=-1) <= tol]
 
 
-def automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None) -> list[Permutation]:
+def automorphisms(graph: Graph, allowed=None) -> list[Permutation]:
     """Automorphisms of graph in lexicographic order of image sequence.
 
     allowed, an n x n boolean matrix, constrains the search: allowed[v, w]
     False forbids v -> w. Backtracking with degree, allowed and
     partial-adjacency pruning. Exact and deterministic; refuses graphs
-    larger than cap.
+    of more than AUTOMORPHISM_CAP vertices.
     """
-    return list(iter_automorphisms(graph, cap, allowed))
+    return list(iter_automorphisms(graph, allowed))
 
 
-def iter_automorphisms(graph: Graph, cap: int = AUTOMORPHISM_CAP, allowed=None):
+def iter_automorphisms(graph: Graph, allowed=None):
     """The search of automorphisms(), lazily: a caller stops it by stopping iteration."""
-    if graph.n > cap:
-        raise CapExceeded(f"automorphism search capped at {cap} vertices, got {graph.n}")
+    if graph.n > AUTOMORPHISM_CAP:
+        raise CapExceeded(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices, got {graph.n}")
     n = graph.n
     adj = graph.adjacency()
     deg = [len(a) for a in adj]
@@ -230,15 +231,15 @@ def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.nda
     return np.linalg.norm(targets[..., :, None, :] - coords, axis=-1) <= tol
 
 
-def coincidence_automorphisms(graph: Graph, coords: np.ndarray, tol: float = 1e-9) -> list[Permutation]:
-    """Automorphisms that fix every joint position: p(alpha(v)) = p(v) within tol.
+def coincidence_automorphisms(graph: Graph, coords: np.ndarray) -> list[Permutation]:
+    """Automorphisms that fix every joint position: p(alpha(v)) = p(v) within COINCIDENT_JOINT_TOL.
 
-    One constrained search: v may go to w only when joint w lies within tol of joint v.
+    One constrained search: v may go to w only when joint w lies within COINCIDENT_JOINT_TOL of joint v.
     """
     p = np.asarray(coords, dtype=float)
     if p.shape[0] != graph.n:
         raise LengthMismatch(f"coordinate rows {p.shape[0]} do not match n={graph.n}")
-    return automorphisms(graph, allowed=joint_matches(p, p, tol))
+    return automorphisms(graph, allowed=joint_matches(p, p, COINCIDENT_JOINT_TOL))
 
 
 def format_cycles(perm: Permutation, labels: tuple[str, ...], include_fixed: bool = False) -> str:

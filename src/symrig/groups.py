@@ -11,8 +11,8 @@ Orientation conventions, fixed for the whole library:
     axes along the coordinate axes, 3-fold axes along body diagonals,
     icosahedral 5-fold axis through (0, 1, golden_ratio).
 
-Group elements are canonicalized by snapping entries that are within
-1e-12 of 0, +-0.5, +-1, and deduplicated at 1e-9 max-entry distance.
+Group elements are canonicalized by snapping entries within SNAP_TOL (1e-12)
+of 0, +-0.5, +-1, and deduplicated at MATCH_TOL (1e-9) max-entry distance.
 Each group is checked, snapped and labelled in one pass over its element
 stack: batched determinants, traces and axes, and one match of every
 rotation angle against 2 pi k / m for all m up to MAX_GROUP_ORDER.
@@ -50,6 +50,7 @@ from .errors import (
 
 MAX_GROUP_ORDER = 200
 MATCH_TOL = 1e-9
+ORTHO_TOL = 1e-12  # validate_group's orthogonality bound, stricter than the 1e-9 a new element must meet
 # Element keys round entries to multiples of 2**-20: far coarser than the
 # rounding error of a product, far finer than the gap between two elements.
 _KEY_SCALE = float(2**20)
@@ -97,8 +98,8 @@ class OrthogonalOp:
     def det(self) -> float:
         return float(np.sign(np.linalg.det(self.matrix)))
 
-    def is_identity(self, tol: float = MATCH_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(self.dim))) <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - np.eye(self.dim))) <= MATCH_TOL)
 
     def __repr__(self) -> str:
         return f"OrthogonalOp({self.label or 'unnamed'}, dim={self.dim})"
@@ -116,9 +117,9 @@ class LinearSubspace:
         return int(self.basis.shape[0])
 
 
-def _match(candidates: np.ndarray, stack: np.ndarray, tol: float = MATCH_TOL) -> np.ndarray:
-    """For each candidate matrix, the index of the first stack entry within tol, or -1."""
-    close = np.abs(candidates[:, None] - stack[None]).max(axis=(2, 3)) <= tol
+def _match(candidates: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """For each candidate matrix, the index of the first stack entry within MATCH_TOL, or -1."""
+    close = np.abs(candidates[:, None] - stack[None]).max(axis=(2, 3)) <= MATCH_TOL
     return np.where(close.any(axis=1), close.argmax(axis=1), -1)
 
 
@@ -160,6 +161,9 @@ class SymmetryGroup:
     def __post_init__(self, _table: np.ndarray | None) -> None:
         if not self.elements:
             raise ValueError("a group needs at least the identity element")
+        shapes = {op.matrix.shape for op in self.elements}
+        if shapes != {(self.dim, self.dim)}:
+            raise DimensionMismatch(f"elements of shapes {sorted(shapes)} in a group acting in {self.dim}d")
         if not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
         stack = np.stack([op.matrix for op in self.elements])
@@ -182,8 +186,11 @@ class SymmetryGroup:
     def matrices(self) -> np.ndarray:
         return self._stack
 
-    def index_of(self, matrix: np.ndarray, tol: float = MATCH_TOL) -> int:
-        idx = int(_match(np.asarray(matrix, dtype=float)[None], self._stack, tol)[0])
+    def index_of(self, matrix: np.ndarray) -> int:
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"a matrix of shape {m.shape} is not an element of a group acting in {self.dim}d")
+        idx = int(_match(m[None], self._stack)[0])
         if idx < 0:
             raise UnknownName(f"matrix is not an element of {self.name or 'group'}")
         return idx
@@ -255,9 +262,9 @@ def element_order(op: OrthogonalOp, bound: int = MAX_GROUP_ORDER) -> int:
     raise OrderBoundExceeded(f"no power up to {bound} returns to the identity")
 
 
-def fixed_subspace(op: OrthogonalOp, rtol: float = 1e-9) -> LinearSubspace:
-    """Pointwise-fixed subspace of an operation: the kernel of (M - I)."""
-    return LinearSubspace(op.dim, kernel_basis(op.matrix - np.eye(op.dim), rtol))
+def fixed_subspace(op: OrthogonalOp) -> LinearSubspace:
+    """Pointwise-fixed subspace of an operation: the kernel of (M - I), at kernel_basis's default rtol."""
+    return LinearSubspace(op.dim, kernel_basis(op.matrix - np.eye(op.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +598,25 @@ def schoenflies_group(
     return _wrap(mats, 3, display)
 
 
-def validate_group(group: SymmetryGroup, ortho_tol: float = 1e-12, match_tol: float = MATCH_TOL) -> None:
+def validate_group(group: SymmetryGroup) -> None:
     """Check the group invariants; raises ValueError describing a violation.
 
     Checked: identity first, per-entry orthogonality and unit determinant
-    within ortho_tol, pairwise-distinct elements, closure under products
+    within ORTHO_TOL, pairwise-distinct elements, closure under products
     and inverses, unique labels.
     """
     stack = group.matrices()
     count, dim = stack.shape[0], group.dim
     eye = np.eye(dim)
-    if np.max(np.abs(stack[0] - eye)) > match_tol:
+    if np.max(np.abs(stack[0] - eye)) > MATCH_TOL:
         raise ValueError("element 0 is not the identity")
-    skew = np.abs(np.swapaxes(stack, 1, 2) @ stack - eye).max(axis=(1, 2)) > ortho_tol
-    bad = np.flatnonzero(skew | (np.abs(np.abs(np.linalg.det(stack)) - 1.0) > ortho_tol * 10))
+    skew = np.abs(np.swapaxes(stack, 1, 2) @ stack - eye).max(axis=(1, 2)) > ORTHO_TOL
+    bad = np.flatnonzero(skew | (np.abs(np.abs(np.linalg.det(stack)) - 1.0) > ORTHO_TOL * 10))
     if bad.size:
         i = int(bad[0])
-        fault = f"fails orthogonality at {ortho_tol}" if skew[i] else "has non-unit determinant"
+        fault = f"fails orthogonality at {ORTHO_TOL}" if skew[i] else "has non-unit determinant"
         raise ValueError(f"element {i} ({group.elements[i].label}) {fault}")
-    first = _match(stack, stack, match_tol)
+    first = _match(stack, stack)
     dup = np.flatnonzero(first != np.arange(count))
     if dup.size:
         j = int(dup[np.argmin(first[dup])])

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._numeric import kernel_basis
 from .classify import MAX_TYPE_PRODUCT, TypeAssignment
-from .errors import BadParam, CapExceeded, ExplosionGuard, NotInSymmetryClass, NotRationalizable
+from .errors import BadParam, CapExceeded, ExplosionGuard, LengthMismatch, NotInSymmetryClass, NotRationalizable
 from .graphs import Graph, Permutation
 from .groups import SymmetryGroup
 from .rigidity import Framework, rigidity_matrix
@@ -26,6 +26,8 @@ from .rigidity import Framework, rigidity_matrix
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
 GENERIC_MAX_VERTICES = 4
+MINOR_TOL = 1e-9  # a minor vanishes when its least singular value is this small relative to max(1, largest)
+RATIONAL_TOL = 1e-9  # largest distance from an entry to the rational kernel_oracle replaces it by
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,6 @@ def brute_force_type_search(
     coords: np.ndarray,
     group: SymmetryGroup,
     tol: float = 1e-8,
-    max_vertices: int = BRUTE_MAX_VERTICES,
-    max_order: int = BRUTE_MAX_ORDER,
 ) -> BruteForceTypes:
     """Every type assignment, by scanning all n! vertex bijections.
 
@@ -57,10 +57,10 @@ def brute_force_type_search(
     is used, which is the point: this is the cross-check for the fast
     enumeration.
     """
-    if graph.n > max_vertices:
-        raise CapExceeded(f"brute force capped at {max_vertices} vertices, got {graph.n}")
-    if len(group) > max_order:
-        raise CapExceeded(f"brute force capped at group order {max_order}, got {len(group)}")
+    if graph.n > BRUTE_MAX_VERTICES:
+        raise CapExceeded(f"brute force capped at {BRUTE_MAX_VERTICES} vertices, got {graph.n}")
+    if len(group) > BRUTE_MAX_ORDER:
+        raise CapExceeded(f"brute force capped at group order {BRUTE_MAX_ORDER}, got {len(group)}")
     p = np.asarray(coords, dtype=float)
     edge_set = graph.edges
     autos = []
@@ -141,11 +141,11 @@ class GenericCheckReport:
         return self.generic
 
 
-def _minor_vanishes(sub: np.ndarray, tol: float) -> bool:
+def _minor_vanishes(sub: np.ndarray) -> bool:
     sigma = np.linalg.svd(sub, compute_uv=False)
     if sigma[0] == 0.0:
         return True
-    return bool(sigma[-1] <= tol * max(1.0, sigma[0]))
+    return bool(sigma[-1] <= MINOR_TOL * max(1.0, sigma[0]))
 
 
 def exhaustive_generic_check(
@@ -153,9 +153,7 @@ def exhaustive_generic_check(
     group: SymmetryGroup,
     images: tuple[Permutation, ...],
     evals: int = 8,
-    tol: float = 1e-9,
     seed: int = 0,
-    max_vertices: int = GENERIC_MAX_VERTICES,
 ) -> GenericCheckReport:
     """Decide genericity of a configuration within its class, minor by minor.
 
@@ -171,12 +169,12 @@ def exhaustive_generic_check(
         raise BadParam(f"evals must be at least 1, got {evals}")
     p = np.asarray(coords, dtype=float)
     n, d = p.shape
-    if n > max_vertices:
-        raise CapExceeded(f"minor scan capped at {max_vertices} vertices, got {n}")
+    if n > GENERIC_MAX_VERTICES:
+        raise CapExceeded(f"minor scan capped at {GENERIC_MAX_VERTICES} vertices, got {n}")
     if d != 2:
         raise CapExceeded("minor scan only implemented in the plane")
     if len(images) != len(group):
-        raise NotInSymmetryClass(f"{len(images)} images for a group of order {len(group)}")
+        raise LengthMismatch(f"{len(images)} images for a group of order {len(group)}")
     peak = np.max(np.abs(p))
     if peak > 0:
         p = p / peak
@@ -204,11 +202,11 @@ def exhaustive_generic_check(
             for col_pick in itertools.combinations(range(cols_total), size):
                 checked += 1
                 sub = base[np.ix_(row_pick, col_pick)]
-                if not _minor_vanishes(sub, tol):
+                if not _minor_vanishes(sub):
                     continue
                 vanishing += 1
                 for mat in matrices:
-                    if not _minor_vanishes(mat[np.ix_(row_pick, col_pick)], tol):
+                    if not _minor_vanishes(mat[np.ix_(row_pick, col_pick)]):
                         return GenericCheckReport(
                             generic=False, minors_checked=checked,
                             vanishing_at_point=vanishing,
@@ -244,15 +242,15 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def kernel_oracle(matrix: np.ndarray, denom_bound: int = 10**6, snap_tol: float = 1e-9) -> int:
+def kernel_oracle(matrix: np.ndarray, denom_bound: int = 10**6) -> int:
     """Kernel dimension by exact rational elimination, no SVD anywhere.
 
     Entries must be recognizably rational (denominator up to denom_bound
-    within snap_tol), which holds for constraint stacks whose group
+    within RATIONAL_TOL), which holds for constraint stacks whose group
     matrices have exact entries like 0, +-1, +-0.5. Entries with no such
     form raise NotRationalizable; callers must not feed stacks built from
     irrational rotations, whose continued-fraction convergents can slip
-    under snap_tol and rationalize to a nearby wrong matrix.
+    under RATIONAL_TOL and rationalize to a nearby wrong matrix.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -265,7 +263,7 @@ def kernel_oracle(matrix: np.ndarray, denom_bound: int = 10**6, snap_tol: float 
         fracs = []
         for x in row:
             f = Fraction(float(x)).limit_denominator(denom_bound)
-            if abs(f - Fraction(float(x))) > snap_tol:
+            if abs(f - Fraction(float(x))) > RATIONAL_TOL:
                 raise NotRationalizable(f"entry {x!r} has no rational form with denominator <= {denom_bound}")
             fracs.append(f)
         mult = lcm(*(f.denominator for f in fracs))

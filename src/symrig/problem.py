@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .classify import TypeAssignment
-from .errors import BadParam, BadPermutation, ParseError, SelfLoop, UnknownGroup, UnknownName
+from .errors import BadParam, BadPermutation, ParseError, SelfLoop, SymrigError, UnknownGroup, UnknownName
 from .graphs import Graph, Permutation, format_cycles, parse_cycles
 from .groups import SymmetryGroup, close_group, schoenflies_group
 
@@ -79,7 +79,7 @@ def _parse_group(spec, dim: int) -> SymmetryGroup:
                     f"'generators' entries must be {dim}x{dim} matrices of finite numbers")
         try:
             return close_group([np.array(g, dtype=float) for g in gens])
-        except Exception as exc:
+        except SymrigError as exc:
             raise UnknownGroup(f"generator closure failed: {exc}") from exc
     _expect("schoenflies" in spec, "'group' needs 'schoenflies' or 'generators'")
     name = spec["schoenflies"]
@@ -227,11 +227,15 @@ def serialize_problem(problem: ProblemFile) -> dict:
 
 def load_problem(path: str) -> ProblemFile:
     """Parse the JSON problem file at path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read problem file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"problem file {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
     return parse_problem(data)
 
 

@@ -18,6 +18,7 @@ from .groups import SymmetryGroup, fixed_subspace
 from .rigidity import Framework
 
 COINCIDENCE_TOL = 1e-8
+WIDTH, HEIGHT, MARGIN = 480, 480, 40.0  # drawing size and the clear border around the scene, in pixels
 
 _STYLE = (
     ".bar{stroke:#444;stroke-width:2;stroke-linecap:round}"
@@ -87,9 +88,6 @@ def _fmt(value: float) -> str:
 def render_svg(
     framework: Framework,
     group: SymmetryGroup | None = None,
-    width: int = 480,
-    height: int = 480,
-    margin: float = 40.0,
     label_joints: bool = False,
 ) -> str:
     """SVG text for a framework: bars, joints, badges, and mirror overlays.
@@ -108,17 +106,17 @@ def render_svg(
     low = anchor.min(axis=0)
     high = anchor.max(axis=0)
     span = float(max(high[0] - low[0], high[1] - low[1], 1e-6))
-    scale = (min(width, height) - 2 * margin) / span
+    scale = (min(WIDTH, HEIGHT) - 2 * MARGIN) / span
     center = (low + high) / 2.0
 
     def place(point: np.ndarray) -> tuple[float, float]:
-        x = (point[0] - center[0]) * scale + width / 2.0
-        y = -(point[1] - center[1]) * scale + height / 2.0
+        x = (point[0] - center[0]) * scale + WIDTH / 2.0
+        y = -(point[1] - center[1]) * scale + HEIGHT / 2.0
         return x, y
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f"<style>{_STYLE}</style>",
     ]
 

@@ -30,6 +30,7 @@ from .classify import TypeAssignment, is_homomorphism
 from .errors import (
     BadParam,
     InconsistentPropagation,
+    LengthMismatch,
     NotAHomomorphism,
     NotAnAutomorphism,
     SamplingExhausted,
@@ -38,13 +39,13 @@ from .graphs import Graph, is_automorphism
 from .groups import LinearSubspace, SymmetryGroup, fixed_subspace
 from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdict
 
-KERNEL_RTOL = 1e-9
 # Columns (d n) from which a sampled member's rank is read from phase blocks.
 # On one BLAS thread a class of 96 columns breaks even once the split's
 # set-up (about 1 ms) is counted; at 192 columns a rank is 3 to 4 times faster.
 PHASE_MIN_COLUMNS = 128
 DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
 MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
+FORCED_BAR_TOL = 1e-9  # a bar whose p_u - p_v is this small on every basis vector is forced to zero length
 
 
 def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
@@ -103,14 +104,14 @@ class ConfigSpaceBasis:
         return vec.reshape(self.graph.n, self.group.dim)
 
 
-def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment, rtol: float = KERNEL_RTOL) -> ConfigSpaceBasis:
+def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> ConfigSpaceBasis:
     """Orthonormal basis of the class space, one orbit at a time.
 
-    An orbit's block is its constraints restricted to its own joints; rtol is relative to
-    that block's largest singular value. The identity takes part only if its image is not.
+    An orbit's block is its constraints restricted to its own joints, its kernel taken at
+    kernel_basis's default rtol. The identity takes part only if its image is not.
     """
     if len(phi) != len(group):
-        raise NotAnAutomorphism(f"type assigns {len(phi)} images for a group of order {len(group)}")
+        raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
     d, n = group.dim, graph.n
     mapped = is_automorphism(graph, phi.array)
     if not mapped.all():
@@ -123,7 +124,7 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment, 
         # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
         perm = np.eye(m)[np.searchsorted(orbit, images[:, orbit])]
         block = np.einsum("ij,xab->xiajb", np.eye(m), mats) - np.einsum("xij,ab->xiajb", perm, np.eye(d))
-        kernel = kernel_basis(block.reshape(-1, m * d), rtol)
+        kernel = kernel_basis(block.reshape(-1, m * d))
         rows.append(np.zeros((len(kernel), n, d)))
         rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
     return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=np.concatenate(rows).reshape(-1, d * n))
@@ -136,7 +137,7 @@ def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignmen
     return float(np.max(np.abs(p @ np.swapaxes(group.matrices(), 1, 2) - p[phi.array]), initial=0.0))
 
 
-def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> tuple[bool, list[tuple[int, int]]]:
+def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
     """Exact emptiness test: a class is empty iff some bar is forced to zero length.
 
     A bar {u, v} is forced exactly when the linear functional p_u - p_v
@@ -145,7 +146,7 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis, tol: float = 1e-9) -> 
     """
     # One bar at a time: a (k, |E|, d) array of all differences would outgrow the basis itself.
     p = basis.basis.reshape(basis.k, graph.n, basis.dim)
-    offending = [(u, v) for u, v in graph.bars.tolist() if np.max(np.abs(p[:, u] - p[:, v]), initial=0.0) <= tol]
+    offending = [(u, v) for u, v in graph.bars.tolist() if np.max(np.abs(p[:, u] - p[:, v]), initial=0.0) <= FORCED_BAR_TOL]
     return (len(offending) > 0, offending)
 
 
@@ -216,7 +217,7 @@ def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> 
         # A homomorphic type maps the identity to the identity, so the rows are never empty.
         fixing = [x for x in range(len(group)) if phi[x](orbit[0]) == orbit[0]]
         stabilizer_rows = (group.matrices()[fixing] - np.eye(group.dim)).reshape(-1, group.dim)
-        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows, KERNEL_RTOL)))
+        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows)))
     reps = tuple(orbit[0] for orbit in orbits)
     return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
 

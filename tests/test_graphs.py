@@ -149,7 +149,7 @@ class TestAutomorphisms:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            automorphisms(Graph.cycle(13), cap=12)
+            automorphisms(Graph.cycle(13))
 
     def test_is_automorphism(self):
         g = Graph.cycle(4)
@@ -184,7 +184,7 @@ class TestAutomorphisms:
 
     def test_allowed_does_not_lift_the_cap(self):
         with pytest.raises(CapExceeded):
-            automorphisms(Graph.cycle(13), cap=12, allowed=np.eye(13, dtype=bool))
+            automorphisms(Graph.cycle(13), allowed=np.eye(13, dtype=bool))
 
 
 def loop_is_automorphism(graph, images):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symrig._numeric import kernel_basis, snap_matrix
 from symrig.errors import (
     BadParam,
+    DimensionMismatch,
     NonOrthogonalGenerator,
     NotClosedWithinBound,
     OrderBoundExceeded,
@@ -444,6 +445,20 @@ class TestTableClosure:
     def test_index_of_unknown_matrix(self):
         with pytest.raises(UnknownName):
             schoenflies_group("C4", 2).index_of(rot2(1.0))
+
+    def test_index_of_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            schoenflies_group("C4", 2).index_of(np.eye(3))
+
+    def test_elements_not_of_the_group_dimension(self):
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(rot2(math.pi), "C2"))
+        with pytest.raises(DimensionMismatch):
+            SymmetryGroup(dim=3, elements=ops)
+
+    def test_elements_of_mixed_shapes(self):
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(np.diag([1.0, 1.0, -1.0]), "sh"))
+        with pytest.raises(DimensionMismatch):
+            SymmetryGroup(dim=2, elements=ops)
 
 
 def rotation_with_cosine(c):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis, numeric_rank
 from symrig.classify import enumerate_types, find_base_type
-from symrig.errors import BadParam, CapExceeded, NotInSymmetryClass, NotRationalizable
+from symrig.errors import BadParam, CapExceeded, LengthMismatch, NotInSymmetryClass, NotRationalizable
 from symrig.graphs import Graph, Permutation
 from symrig.groups import schoenflies_group
 from symrig.oracle import (
@@ -175,5 +175,5 @@ class TestGenericCheck:
 
     def test_image_count_checked(self):
         group, _ = self.triangle_images()
-        with pytest.raises(NotInSymmetryClass):
+        with pytest.raises(LengthMismatch):
             exhaustive_generic_check(np.zeros((3, 2)), group, ())

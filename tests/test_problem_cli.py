@@ -136,6 +136,16 @@ class TestParseRejections:
         with pytest.raises(UnknownGroup):
             parse_problem(data)
 
+    def test_closure_fault_is_not_a_user_error(self, monkeypatch):
+        def faulty(generators):
+            raise TypeError("fault inside the closure")
+
+        monkeypatch.setattr("symrig.problem.close_group", faulty)
+        data = base_problem()
+        data["group"] = {"generators": [[[-1, 0], [0, -1]]]}
+        with pytest.raises(TypeError, match="fault inside the closure"):
+            parse_problem(data)
+
     def test_bad_type_mode(self):
         data = base_problem()
         data["type"] = "guess"
@@ -458,6 +468,17 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["generic"] is True
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_problem_file(self, tmp_path, capsys, kind):
+        path = tmp_path / "problem.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        code, out = run_cli(capsys, "analyze", "--problem", str(path))
+        assert code == 3
+        assert str(path) in json.loads(out)["error"]
 
     def test_domain_error_exit_code(self, capsys):
         code, out = run_cli(capsys, "analyze", "--fixture", "missing")

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis
-from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism
-from symrig.errors import BadParam, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
+from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism, verify_type
+from symrig.errors import BadParam, LengthMismatch, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import schoenflies_group
-from symrig.oracle import constraint_stack, symmetry_constraint_matrix
+from symrig.oracle import constraint_stack, exhaustive_generic_check, symmetry_constraint_matrix
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import rigidity_verdict
 from symrig.symspace import (
@@ -156,6 +156,21 @@ class TestBasis:
         phi = TypeAssignment((Permutation.identity(3), Permutation((2, 1, 0))))
         with pytest.raises(NotAnAutomorphism):
             config_space_basis(graph, C2, phi)
+
+    def test_type_of_the_wrong_length(self):
+        # Every check of a type against its group names this fault with one class.
+        graph = Graph.make(2, [(0, 1)])
+        short = TypeAssignment((Permutation.identity(2),))
+        coords = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        checks = [
+            lambda: config_space_basis(graph, C2, short),
+            lambda: exhaustive_generic_check(coords, C2, short.images),
+            lambda: verify_type(graph, coords, C2, short),
+            lambda: is_homomorphism(C2, short),
+        ]
+        for check in checks:
+            with pytest.raises(LengthMismatch, match="1 images for a group of order 2"):
+                check()
 
 
 class TestEmptiness:
