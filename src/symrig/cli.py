@@ -12,6 +12,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .classify import (
     TypeAssignment,
     enumerate_types,
@@ -23,7 +25,7 @@ from .errors import InvalidFramework, NotInSymmetryClass, SymrigError
 from .graphs import format_cycles
 from .oracle import brute_force_type_search, exhaustive_generic_check
 from .problem import ProblemFile, load_fixture, load_problem
-from .rigidity import Framework, rigidity_verdict
+from .rigidity import Framework, rigidity_verdict, rigidity_verdicts
 from .symspace import (
     class_is_empty,
     config_space_basis,
@@ -80,7 +82,40 @@ def _coord_dict(framework: Framework) -> dict:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) plus a newline, without json's Python encoder.
+
+    indent forces json onto its pure-Python encoder, which is slow on long
+    coordinate lists. This writes the same text: dicts with string keys and
+    lists are laid out here, lists of finite floats joined through
+    float.__repr__, and everything else goes through json.dumps.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    inner = newline + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(newline + "}")
+    elif type(value) is list and value:
+        if all(type(item) is float for item in value):
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" not in text:  # nan and inf, which json spells NaN and Infinity
+                out.append("[" + inner + text + newline + "]")
+                return
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def cmd_analyze(args) -> str:
@@ -122,9 +157,9 @@ def cmd_sample(args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
     samples = draw_samples(basis, args.count, seed=_seed(args, problem), framework_tol=args.tol_geom)
+    verdicts = rigidity_verdicts(problem.graph, np.array([f.coords for f in samples]), args.tol_rank, basis.phases)
     rows = []
-    for f in samples:
-        verdict = rigidity_verdict(f, args.tol_rank, args.tol_geom, basis.phases)
+    for f, verdict in zip(samples, verdicts):
         rows.append({
             "coords": _coord_dict(f),
             "rank": verdict.rank,
@@ -297,8 +332,12 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stdout.write(json.dumps({"error": f"cannot write output file {args.out}: {exc.strerror or exc}"}) + "\n")
+            return 3
     else:
         sys.stdout.write(text)
     return 0

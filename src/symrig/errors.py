@@ -89,5 +89,13 @@ class SelfLoop(SymrigError):
     """An edge joining a vertex to itself."""
 
 
+class InvalidGraph(SymrigError, ValueError):
+    """A vertex count, label list or edge list that makes no simple graph."""
+
+
+class InvalidGroup(SymrigError, ValueError):
+    """An element list that cannot start a group: empty, or element 0 not the identity."""
+
+
 class UnsupportedDim(SymrigError):
     """A dimension other than 2 or 3 where geometry is required."""

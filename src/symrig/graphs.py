@@ -9,15 +9,19 @@ only the automorphisms that move joints onto matching joints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from math import lcm
 
 import numpy as np
 
-from .errors import BadPermutation, CapExceeded, LengthMismatch, SelfLoop
+from .errors import BadPermutation, CapExceeded, InvalidGraph, LengthMismatch, SelfLoop
 
 AUTOMORPHISM_CAP = 12
 COINCIDENT_JOINT_TOL = 1e-9  # joints this close count as one position for coincidence_automorphisms
+CYCLE = re.compile(r"\(([^)]*)\)")  # one cycle of cycle notation; group 1 is its body
+CYCLES = re.compile(r"(?:\s*\([^)]*\))*")  # a run of cycles, whitespace between them
 
 
 @dataclass(frozen=True, order=True)
@@ -98,21 +102,21 @@ class Graph:
     @staticmethod
     def make(n: int, edge_list, labels: tuple[str, ...] | None = None) -> "Graph":
         if n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise InvalidGraph("graph needs at least one vertex")
         if labels is None:
             labels = tuple(f"v{i + 1}" for i in range(n))
         if len(labels) != n or len(set(labels)) != n:
-            raise ValueError("labels must be distinct and match the vertex count")
+            raise InvalidGraph("labels must be distinct and match the vertex count")
         norm: list[tuple[int, int]] = []
         for u, v in edge_list:
             u, v = int(u), int(v)
             if u == v:
                 raise SelfLoop(f"self loop at vertex {labels[u] if 0 <= u < n else u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise InvalidGraph(f"edge ({u}, {v}) out of range for n={n}")
             norm.append((min(u, v), max(u, v)))
         if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edge")
+            raise InvalidGraph("duplicate edge")
         return Graph(n=n, edges=frozenset(norm), labels=labels)
 
     @staticmethod
@@ -180,7 +184,9 @@ def is_automorphism(graph: Graph, perm):
 
 def bar_vectors(graph: Graph, p: np.ndarray) -> np.ndarray:
     """p_u - p_v for every bar {u, v} of graph, over coordinates p[..., n, d]."""
-    return p[..., graph.bars[:, 0], :] - p[..., graph.bars[:, 1], :]
+    diff = p[..., graph.bars[:, 0], :]
+    diff -= p[..., graph.bars[:, 1], :]  # in place: a stack of differences is built once
+    return diff
 
 
 def short_bars(graph: Graph, p: np.ndarray, tol: float) -> np.ndarray:
@@ -256,41 +262,42 @@ def parse_cycles(text: str, labels: tuple[str, ...]) -> Permutation:
     """Parse cycle notation like "(v1 v2)(v5 v6)" over the given labels.
 
     "id" and "()" denote the identity. Fixed points may be written as
-    singleton cycles; every label may appear at most once.
+    singleton cycles; every label may appear at most once. One regex scan
+    finds the cycles, and their names are looked up all at once.
     """
     n = len(labels)
-    index = {name: i for i, name in enumerate(labels)}
     stripped = text.strip()
     if stripped in ("id", "()", ""):
         return Permutation.identity(n)
     if stripped.count("(") != stripped.count(")"):
         raise BadPermutation(f"unbalanced parentheses in {text!r}")
-    images = list(range(n))
-    seen: set[int] = set()
-    rest = stripped
-    while rest:
-        rest = rest.lstrip()
-        if not rest:
-            break
-        if not rest.startswith("("):
-            raise BadPermutation(f"expected '(' in {text!r}")
-        close = rest.find(")")
-        if close < 0:
-            raise BadPermutation(f"unbalanced parentheses in {text!r}")
-        body = rest[1:close].replace(",", " ")
-        rest = rest[close + 1:]
-        names = body.split()
-        if not names:
-            continue
-        ids = []
+    index = {name: i for i, name in enumerate(labels)}
+    end = CYCLES.match(stripped).end()  # the cycles before any text that is not one
+    cycles = [body.replace(",", " ").split() for body in CYCLE.findall(stripped, 0, end)]
+    ids = list(map(index.get, chain.from_iterable(cycles)))
+    if None in ids or len(set(ids)) < len(ids):
+        _raise_first_fault(cycles, index, text)
+    if end != len(stripped):
+        raise BadPermutation(f"expected '(' in {text!r}")
+    # Each name goes to the next one, and the last of a cycle to its first.
+    after = ids[1:] + ids[:1]
+    first = 0
+    for stop in accumulate(map(len, cycles)):
+        if stop > first:  # "()" is an empty cycle
+            after[stop - 1] = ids[first]
+        first = stop
+    moved = dict(zip(ids, after))
+    return Permutation(tuple(map(moved.get, range(n), range(n))))
+
+
+def _raise_first_fault(cycles: list[list[str]], index: dict[str, int], text: str) -> None:
+    """The first unknown or repeated name, cycle by cycle, as parse_cycles reports it."""
+    seen: set[str] = set()
+    for names in cycles:
         for name in names:
             if name not in index:
                 raise BadPermutation(f"unknown vertex name {name!r} in {text!r}")
-            ids.append(index[name])
-        for i in ids:
-            if i in seen:
-                raise BadPermutation(f"vertex {labels[i]!r} appears twice in {text!r}")
-            seen.add(i)
-        for pos, i in enumerate(ids):
-            images[i] = ids[(pos + 1) % len(ids)]
-    return Permutation(tuple(images))
+        for name in names:
+            if name in seen:
+                raise BadPermutation(f"vertex {name!r} appears twice in {text!r}")
+            seen.add(name)

@@ -41,6 +41,7 @@ from ._numeric import kernel_basis, snap_matrix
 from .errors import (
     BadParam,
     DimensionMismatch,
+    InvalidGroup,
     NonOrthogonalGenerator,
     NotClosedWithinBound,
     OrderBoundExceeded,
@@ -160,12 +161,12 @@ class SymmetryGroup:
 
     def __post_init__(self, _table: np.ndarray | None) -> None:
         if not self.elements:
-            raise ValueError("a group needs at least the identity element")
+            raise InvalidGroup("a group needs at least the identity element")
         shapes = {op.matrix.shape for op in self.elements}
         if shapes != {(self.dim, self.dim)}:
             raise DimensionMismatch(f"elements of shapes {sorted(shapes)} in a group acting in {self.dim}d")
         if not self.elements[0].is_identity():
-            raise ValueError("element 0 must be the identity")
+            raise InvalidGroup("element 0 must be the identity")
         stack = np.stack([op.matrix for op in self.elements])
         table = np.stack([_match(m @ stack, stack) for m in stack]) if _table is None else _table
         table.setflags(write=False)

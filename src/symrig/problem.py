@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .classify import TypeAssignment
-from .errors import BadParam, BadPermutation, ParseError, SelfLoop, SymrigError, UnknownGroup, UnknownName
+from .errors import BadParam, BadPermutation, InvalidGraph, ParseError, SymrigError, UnknownGroup, UnknownName
 from .graphs import Graph, Permutation, format_cycles, parse_cycles
 from .groups import SymmetryGroup, close_group, schoenflies_group
 
@@ -162,9 +162,7 @@ def parse_problem(data: dict) -> ProblemFile:
         pairs.append((index[e[0]], index[e[1]]))
     try:
         graph = Graph.make(len(labels), pairs, labels)
-    except SelfLoop:
-        raise
-    except ValueError as exc:
+    except InvalidGraph as exc:
         raise ParseError(str(exc)) from exc
 
     _expect("group" in data, "'group' is required")

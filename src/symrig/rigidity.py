@@ -26,6 +26,12 @@ non-homomorphic types and non-injective realizations too.
 The intertwining holds only for p in the class. A configuration given
 from outside, such as one read from a problem file, is at best within a
 tolerance of its class, so its rank is always one SVD of R.
+
+Sampled members of one class are decided together: rigidity_verdicts takes
+a stack of configurations, builds all their matrices (or phase blocks) in
+one scatter and ranks them with one stacked SVD per block, each member
+against its own largest singular value. Stacks are cut into chunks of at
+most _numeric.STACK_CELLS matrix cells. rigidity_verdict is the stack of one.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import block_rank, numeric_rank
+from . import _numeric
+from ._numeric import block_rank
 from .errors import InvalidFramework, NotAnAutomorphism, UnsupportedDim
 from .graphs import Graph, Permutation, bar_images, bar_vectors, short_bars
 from .groups import OrthogonalOp, element_order
@@ -51,6 +58,7 @@ __all__ = [
     "phase_split",
     "phase_blocks",
     "rigidity_verdict",
+    "rigidity_verdicts",
 ]
 
 # Distinct eigenvalues of an orthogonal matrix of order L lie at least
@@ -121,31 +129,38 @@ class RigidityReport:
         }
 
 
+def _matrices(graph: Graph, p: np.ndarray) -> np.ndarray:
+    """The rigidity matrices R[..., |E|, d n] of coordinates p[..., n, d], one scatter."""
+    lead, d = p.shape[:-2], p.shape[-1]
+    diff = bar_vectors(graph, p)
+    rows = np.zeros((*lead, graph.edge_count, graph.n, d))
+    bar = np.arange(graph.edge_count)
+    rows[..., bar, graph.bars[:, 0], :] = diff
+    rows[..., bar, graph.bars[:, 1], :] = -diff
+    return rows.reshape(*lead, graph.edge_count, graph.n * d)
+
+
 def rigidity_matrix(framework: Framework) -> np.ndarray:
     """The |E| x (d n) rigidity matrix, rows in the order of graph.bars.
 
     Degenerate bars with coincident endpoints simply contribute zero rows,
     so no validity check is made here.
     """
-    g = framework.graph
-    diff = bar_vectors(g, framework.coords)
-    rows = np.zeros((g.edge_count, g.n, framework.dim))
-    bar = np.arange(g.edge_count)
-    rows[bar, g.bars[:, 0]] = diff
-    rows[bar, g.bars[:, 1]] = -diff
-    return rows.reshape(g.edge_count, g.n * framework.dim)
+    return _matrices(framework.graph, framework.coords)
 
 
-def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8) -> int:
-    """Dimension of the affine span of the points (0 for a single point)."""
+def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8):
+    """Dimension of the affine span of the points (0 for a single point).
+
+    coords may be a stack coords[..., n, d]; the dimensions then come back
+    as an integer array of the leading shape, from one stacked SVD.
+    """
     p = np.asarray(coords, dtype=float)
-    if p.shape[0] <= 1:
-        return 0
-    diffs = p[0] - p[1:]
-    scale = np.max(np.abs(diffs))
-    if scale > 0:
-        diffs = diffs / scale
-    return numeric_rank(diffs, rtol)
+    if p.shape[-2] <= 1:
+        return 0 if p.ndim == 2 else np.zeros(p.shape[:-2], int)
+    diffs = p[..., :1, :] - p[..., 1:, :]
+    scale = np.max(np.abs(diffs), axis=(-2, -1), keepdims=True)
+    return block_rank([(diffs / np.where(scale > 0, scale, 1.0), 1)], rtol)
 
 
 class PhaseBlock(NamedTuple):
@@ -234,19 +249,23 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     return tuple(blocks) if total == d * n else None
 
 
-def phase_blocks(framework: Framework, phases: tuple[PhaseBlock, ...]) -> list[tuple[np.ndarray, int]]:
-    """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs."""
-    p = framework.coords
+def phase_blocks(framework, phases: tuple[PhaseBlock, ...]) -> list[tuple[np.ndarray, int]]:
+    """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs.
+
+    framework is a Framework or a stack of coordinates p[..., n, d] of
+    class members; the blocks then carry the same leading axes.
+    """
+    p = framework.coords if isinstance(framework, Framework) else framework
     out = []
     for ph in phases:
         a, b = ph.ends[:, 0], ph.ends[:, 1]
-        rows = (p[a] - p[b]) * ph.scale[:, None]
-        r = np.arange(len(rows))[:, None]
-        block = np.zeros((len(rows), ph.columns + 1), ph.vecs.dtype)
-        block[r, ph.cols[a]] = np.einsum("rd,rdc->rc", rows, ph.vecs[a])
+        rows = (p[..., a, :] - p[..., b, :]) * ph.scale[:, None]
+        r = np.arange(len(a))[:, None]
+        block = np.zeros((*p.shape[:-2], len(a), ph.columns + 1), ph.vecs.dtype)
+        block[..., r, ph.cols[a]] = np.einsum("...rd,rdc->...rc", rows, ph.vecs[a])
         # Both ends may lie in one joint cycle and share columns: add, do not assign.
-        block[r, ph.cols[b]] -= np.einsum("rd,rdc->rc", rows, ph.vecs[b])
-        out.append((block[:, :-1], ph.multiplicity))
+        block[..., r, ph.cols[b]] -= np.einsum("...rd,rdc->...rc", rows, ph.vecs[b])
+        out.append((block[..., :-1], ph.multiplicity))
     return out
 
 
@@ -265,24 +284,53 @@ def rigidity_verdict(
     line or spot fix every joint. Independent means rank equals the bar
     count; isostatic means both. The rank is one SVD of the rigidity matrix,
     or, for a framework drawn from the class the phase split was built for,
-    the SVDs of its phase blocks.
+    the SVDs of its phase blocks. The framework is validated, then decided
+    as a stack of one by rigidity_verdicts.
     """
     framework.validate(framework_tol)
-    g = framework.graph
-    n, d = framework.n, framework.dim
-    blocks = [(rigidity_matrix(framework), 1)] if phases is None else phase_blocks(framework, phases)
-    rank = block_rank(blocks, rank_rtol)
-    affine = affine_span_dim(framework.coords, rank_rtol)
-    trivial = comb(d + 1, 2) - comb(d - affine, 2)
-    rigid = d * n - rank == trivial
-    independent = rank == g.edge_count
-    return RigidityReport(
-        rank=rank,
-        bar_count=g.edge_count,
-        dof_count=d * n,
-        affine_span_dim=affine,
-        trivial_dim=trivial,
-        infinitesimally_rigid=rigid,
-        independent=independent,
-        isostatic=rigid and independent,
-    )
+    return rigidity_verdicts(framework.graph, framework.coords[None], rank_rtol, phases)[0]
+
+
+def rigidity_verdicts(
+    graph: Graph,
+    coords: np.ndarray,
+    rank_rtol: float = 1e-8,
+    phases: tuple[PhaseBlock, ...] | None = None,
+) -> list[RigidityReport]:
+    """The verdicts of rigidity_verdict for a stack coords[T, n, d] of frameworks of graph.
+
+    The configurations are taken as valid: no bar may have coincident
+    endpoints. With phases, every configuration must lie in the class the
+    split was built for. Each chunk of at most STACK_CELLS matrix cells is
+    built in one scatter and ranked by one SVD per block.
+    """
+    n, d = coords.shape[-2:]
+    # A split without blocks (a class without bars) has R's rank, 0, too.
+    if phases:
+        cells = sum(len(ph.ends) * (ph.columns + 1) for ph in phases)
+    else:
+        cells = graph.edge_count * n * d
+
+    def blocks(chunk):
+        return phase_blocks(chunk, phases) if phases else [(_matrices(graph, chunk), 1)]
+
+    ranks = []
+    for part in _numeric.chunks(len(coords), cells):
+        # Built inside the call, a chunk's blocks are freed before the next chunk's are.
+        ranks.extend(block_rank(blocks(coords[part]), rank_rtol).tolist())
+    reports = []
+    for rank, affine in zip(ranks, affine_span_dim(coords, rank_rtol).tolist()):
+        trivial = comb(d + 1, 2) - comb(d - affine, 2)
+        rigid = d * n - rank == trivial
+        independent = rank == graph.edge_count
+        reports.append(RigidityReport(
+            rank=rank,
+            bar_count=graph.edge_count,
+            dof_count=d * n,
+            affine_span_dim=affine,
+            trivial_dim=trivial,
+            infinitesimally_rigid=rigid,
+            independent=independent,
+            isostatic=rigid and independent,
+        ))
+    return reports

@@ -16,6 +16,13 @@ class builds the phase split of one operation once (rigidity.phase_split)
 and decides the rank of each sampled member from its blocks. Classes
 with fewer than PHASE_MIN_COLUMNS columns keep one SVD of R, which is
 faster there.
+
+A class is sampled in stacks: the trials' coefficient vectors are rows of
+one uniform draw, their configurations one stacked product with the basis,
+and rigidity.rigidity_verdicts ranks them together. A stack holds as many
+members as fit _numeric.STACK_CELLS cells of bar differences. Every row is
+computed exactly as a single draw would be, so a seed yields the same
+members and verdicts as drawing and deciding them one at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _numeric
 from ._numeric import kernel_basis
 from .classify import TypeAssignment, is_homomorphism
 from .errors import (
@@ -35,14 +43,16 @@ from .errors import (
     NotAnAutomorphism,
     SamplingExhausted,
 )
-from .graphs import Graph, is_automorphism
+from .graphs import Graph, bar_vectors, is_automorphism, short_bars
 from .groups import LinearSubspace, SymmetryGroup, fixed_subspace
-from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdict
+from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdicts
+from .rigidity import rigidity_verdict  # noqa: F401  bench/tracing.py wraps this name of symspace
 
-# Columns (d n) from which a sampled member's rank is read from phase blocks.
-# On one BLAS thread a class of 96 columns breaks even once the split's
-# set-up (about 1 ms) is counted; at 192 columns a rank is 3 to 4 times faster.
-PHASE_MIN_COLUMNS = 128
+# Columns (d n) from which sampled members' ranks are read from phase blocks.
+# On one BLAS thread, 20 stacked members with the split's set-up counted
+# break even at about 48 columns; the split is 16 % faster at 64 columns,
+# twice as fast at 96 and 4 times as fast at 192.
+PHASE_MIN_COLUMNS = 64
 DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
 MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
 FORCED_BAR_TOL = 1e-9  # a bar whose p_u - p_v is this small on every basis vector is forced to zero length
@@ -97,12 +107,6 @@ class ConfigSpaceBasis:
             return None
         return phase_split(self.graph, self.group.elements[best], self.phi[best])
 
-    def coords_from(self, weights: np.ndarray) -> np.ndarray:
-        """Configuration for a coefficient vector, reshaped to (n, d)."""
-        w = np.asarray(weights, dtype=float)
-        vec = w @ self.basis if self.k else np.zeros(self.group.dim * self.graph.n)
-        return vec.reshape(self.graph.n, self.group.dim)
-
 
 def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> ConfigSpaceBasis:
     """Orthonormal basis of the class space, one orbit at a time.
@@ -118,12 +122,15 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
         raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
     first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
     mats, images = group.matrices()[first:], phi.array[first:]
+    x, a = np.arange(len(mats))[:, None, None], np.arange(d)
     rows = [np.zeros((0, n, d))]
     for orbit in _orbits(n, phi.images):
         m = len(orbit)
         # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
-        perm = np.eye(m)[np.searchsorted(orbit, images[:, orbit])]
-        block = np.einsum("ij,xab->xiajb", np.eye(m), mats) - np.einsum("xij,ab->xiajb", perm, np.eye(d))
+        block = np.zeros((len(mats), m, d, m, d))
+        i = np.arange(m)
+        block[:, i, :, i, :] = mats
+        block[x, i[:, None], a, np.searchsorted(orbit, images[:, orbit])[..., None], a] -= 1.0
         kernel = kernel_basis(block.reshape(-1, m * d))
         rows.append(np.zeros((len(kernel), n, d)))
         rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
@@ -144,31 +151,54 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tu
     vanishes on every basis vector of U, which makes every member of the
     class degenerate on that bar.
     """
-    # One bar at a time: a (k, |E|, d) array of all differences would outgrow the basis itself.
+    # Bars in chunks: a (k, |E|, d) array of all differences would outgrow the basis itself.
     p = basis.basis.reshape(basis.k, graph.n, basis.dim)
-    offending = [(u, v) for u, v in graph.bars.tolist() if np.max(np.abs(p[:, u] - p[:, v]), initial=0.0) <= FORCED_BAR_TOL]
+    bars = graph.bars
+    forced = np.zeros(len(bars), bool)
+    for part in _numeric.chunks(len(bars), p.shape[0] * p.shape[2]):
+        diff = p[:, bars[part, 0]]
+        diff -= p[:, bars[part, 1]]
+        forced[part] = np.max(np.abs(diff, out=diff), axis=(0, 2), initial=0.0) <= FORCED_BAR_TOL
+    offending = [(u, v) for u, v in bars[forced].tolist()]
     return (len(offending) > 0, offending)
 
 
-def _draw_config(basis: ConfigSpaceBasis, rng: np.random.Generator, framework_tol: float) -> Framework:
-    g = basis.graph
-    if basis.k == 0:
-        coords = np.zeros((g.n, basis.dim))
-        f = Framework(g, coords)
-        if f.edge_violations(framework_tol):
-            raise SamplingExhausted("the class is empty: its only configuration collapses a bar")
-        return f
-    for _ in range(DRAW_RETRIES):
-        weights = rng.uniform(-1.0, 1.0, basis.k)
-        coords = basis.coords_from(weights)
-        peak = np.max(np.abs(coords))
-        if peak <= framework_tol:
+def _draws(basis: ConfigSpaceBasis, rng: np.random.Generator, count: int, framework_tol: float):
+    """count members of the class, rescaled to the unit box, as chunks coordinates[b, n, d].
+
+    The coefficient vectors are consecutive rows of one stream of uniform
+    draws on [-1, 1]^k. A row is rejected when its configuration vanishes
+    or collapses a bar; the next row takes its place. DRAW_RETRIES
+    consecutive rejections give up. A chunk's bar differences fill at most
+    STACK_CELLS cells. No batch reaches past the row at which a chunk is
+    complete or the draws give up, so the stream is left where drawing one
+    row at a time leaves it, and a chunk ends on an accepted row, where the
+    retry count starts again.
+    """
+    g, d = basis.graph, basis.dim
+    if basis.k == 0 and len(short_bars(g, np.zeros((g.n, d)), framework_tol)):
+        raise SamplingExhausted("the class is empty: its only configuration collapses a bar")
+    for part in _numeric.chunks(count, g.edge_count * d):
+        size = len(range(count)[part])
+        if basis.k == 0:
+            yield np.zeros((size, g.n, d))
             continue
-        coords = coords / peak
-        f = Framework(g, coords)
-        if not f.edge_violations(framework_tol):
-            return f
-    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
+        accepted, rejected = [], 0
+        while len(accepted) < size:
+            weights = rng.uniform(-1.0, 1.0, (min(size - len(accepted), DRAW_RETRIES - rejected), basis.k))
+            # Row by row, as weights[i] @ basis: one gemm would round differently.
+            coords = np.matmul(weights[:, None, :], basis.basis)[:, 0].reshape(len(weights), g.n, d)
+            peak = np.max(np.abs(coords), axis=(1, 2))
+            ok = peak > framework_tol
+            coords /= np.where(ok, peak, 1.0)[:, None, None]
+            ok &= (np.linalg.norm(bar_vectors(g, coords), axis=-1) > framework_tol).all(axis=-1)
+            for row, good in zip(coords, ok.tolist()):
+                rejected = 0 if good else rejected + 1
+                if good:
+                    accepted.append(row)
+            if rejected == DRAW_RETRIES:
+                raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
+        yield np.array(accepted)
 
 
 def sample_config(basis: ConfigSpaceBasis, seed: int = 0, framework_tol: float = 1e-8) -> Framework:
@@ -185,7 +215,7 @@ def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_t
     if count < 1:
         raise BadParam(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    return [_draw_config(basis, rng, framework_tol) for _ in range(count)]
+    return [Framework(basis.graph, coords) for chunk in _draws(basis, rng, count, framework_tol) for coords in chunk]
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +354,10 @@ def sym_generic_verdict(
     verdict is the verdict of the first sample of greatest rank among the
     trials draws, and that sample is the witness. A positive verdict holds
     for almost all members of the class; a negative verdict only reports
-    that no sample of higher rank appeared within the trial budget.
+    that no sample of higher rank appeared within the trial budget. The
+    trials are drawn as stacks of at most STACK_CELLS cells and decided a
+    stack at a time by rigidity_verdicts, with the members and ranks that
+    drawing and deciding them one at a time gives.
     """
     if trials < 1:
         raise BadParam(f"trials must be at least 1, got {trials}")
@@ -336,15 +369,13 @@ def sym_generic_verdict(
             ranks=(), max_rank=0, infinitesimally_rigid=False, independent=False,
             isostatic=False, witness=None,
         )
-    rng = np.random.default_rng(seed)
     ranks = []
     best = witness = None
-    for _ in range(trials):
-        f = _draw_config(basis, rng, framework_tol)
-        report = rigidity_verdict(f, rank_rtol, framework_tol, basis.phases)
-        ranks.append(report.rank)
-        if best is None or report.rank > best.rank:
-            best, witness = report, f.coords
+    for coords in _draws(basis, np.random.default_rng(seed), trials, framework_tol):
+        for report, p in zip(rigidity_verdicts(graph, coords, rank_rtol, basis.phases), coords):
+            ranks.append(report.rank)
+            if best is None or report.rank > best.rank:
+                best, witness = report, p
     return SymGenericReport(
         k=basis.k, empty=False, offending_edges=(), samples_drawn=trials,
         ranks=tuple(ranks), max_rank=best.rank, infinitesimally_rigid=best.infinitesimally_rigid,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrig.errors import BadPermutation, CapExceeded, LengthMismatch, SelfLoop
+from symrig.errors import BadPermutation, CapExceeded, InvalidGraph, LengthMismatch, SelfLoop, SymrigError
 from symrig.graphs import (
     Graph,
     Permutation,
@@ -284,3 +284,73 @@ class TestCycleNotation:
     def test_roundtrip(self, p):
         labels = tuple(f"n{i}" for i in range(6))
         assert parse_cycles(format_cycles(p, labels), labels) == p
+
+
+# Labels that cycle notation can carry: no whitespace, parentheses or commas ("#" joins stems below).
+LABEL = st.text(
+    alphabet=st.characters(blacklist_categories=("Z", "C", "Cs"), blacklist_characters="(),#"),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def labeled_perms(draw):
+    """A permutation of up to 200 vertices with random labels: random stems, then stem#k."""
+    n = draw(st.integers(1, 200))
+    stems = draw(st.lists(LABEL, min_size=1, max_size=12, unique=True))
+    labels = tuple(stems[:n]) + tuple(f"{stems[i % len(stems)]}#{i}" for i in range(len(stems), n))
+    images = draw(st.permutations(range(n)))
+    return Permutation(tuple(images)), labels
+
+
+class TestParseCycles:
+    LABELS = ("v1", "v2", "v3", "v4")
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_perms(), st.booleans())
+    def test_round_trip_with_random_labels(self, case, include_fixed):
+        p, labels = case
+        assert parse_cycles(format_cycles(p, labels, include_fixed=include_fixed), labels) == p
+
+    @pytest.mark.parametrize("text, message", [
+        ("(v1 v2", "unbalanced parentheses in '(v1 v2'"),
+        ("(v1 v2)(v3", "unbalanced parentheses in '(v1 v2)(v3'"),
+        ("v1 (v2 v3)", "expected '(' in 'v1 (v2 v3)'"),
+        ("(v1 v2) v3 ()", "expected '(' in '(v1 v2) v3 ()'"),
+        (")(", "expected '(' in ')('"),
+        ("(v1 zz)", "unknown vertex name 'zz' in '(v1 zz)'"),
+        ("(v1(v2))", "unknown vertex name 'v1(v2' in '(v1(v2))'"),
+        ("(v1 v2)(v2 v3)", "vertex 'v2' appears twice in '(v1 v2)(v2 v3)'"),
+        ("(v1 v2 v1)", "vertex 'v1' appears twice in '(v1 v2 v1)'"),
+        ("(v3)(v1 v3)", "vertex 'v3' appears twice in '(v3)(v1 v3)'"),
+    ])
+    def test_malformed_text_names_its_first_fault(self, text, message):
+        with pytest.raises(BadPermutation) as caught:
+            parse_cycles(text, self.LABELS)
+        assert str(caught.value) == message
+
+    def test_faults_are_reported_in_reading_order(self):
+        # a repeat in the first cycle comes before an unknown name in the second, and both
+        # before text that is not a cycle
+        with pytest.raises(BadPermutation, match="vertex 'v1' appears twice"):
+            parse_cycles("(v1 v1)(zz) x", self.LABELS)
+        with pytest.raises(BadPermutation, match="unknown vertex name 'zz'"):
+            parse_cycles("(v1 v2)(zz v1) x", self.LABELS)
+
+    def test_commas_whitespace_and_empty_cycles(self):
+        p = parse_cycles(" ( v1,v2 )\t()\n(v3 , v4) ", self.LABELS)
+        assert p.images == (1, 0, 3, 2)
+
+
+class TestGraphErrors:
+    @pytest.mark.parametrize("args", [
+        (0, []),
+        (3, [(0, 1), (1, 0)]),
+        (3, [(0, 5)]),
+        (3, [(0, 1)], ("a", "a", "b")),
+        (3, [(0, 1)], ("a", "b")),
+    ], ids=["no vertices", "duplicate edge", "out of range", "repeated label", "short labels"])
+    def test_bad_graph_is_a_symrig_error(self, args):
+        with pytest.raises(InvalidGraph) as caught:
+            Graph.make(*args)
+        assert isinstance(caught.value, SymrigError) and isinstance(caught.value, ValueError)

@@ -11,9 +11,11 @@ from symrig._numeric import kernel_basis, snap_matrix
 from symrig.errors import (
     BadParam,
     DimensionMismatch,
+    InvalidGroup,
     NonOrthogonalGenerator,
     NotClosedWithinBound,
     OrderBoundExceeded,
+    SymrigError,
     UnknownName,
     UnsupportedDim,
 )
@@ -664,3 +666,16 @@ class TestBatchedLabels:
             return
         with pytest.raises(ValueError, match=f"element 2 \\(C4\\) {fault}"):
             validate_group(group)
+
+
+class TestGroupStartErrors:
+    def test_no_elements(self):
+        with pytest.raises(InvalidGroup, match="at least the identity") as caught:
+            SymmetryGroup(dim=2, elements=())
+        assert isinstance(caught.value, SymrigError) and isinstance(caught.value, ValueError)
+
+    def test_element_zero_not_the_identity(self):
+        ops = (OrthogonalOp(rot2(math.pi), "C2"), OrthogonalOp(np.eye(2), "Id"))
+        with pytest.raises(InvalidGroup, match="element 0 must be the identity") as caught:
+            SymmetryGroup(dim=2, elements=ops)
+        assert isinstance(caught.value, SymrigError) and isinstance(caught.value, ValueError)

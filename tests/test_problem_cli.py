@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrig import cli
 from symrig.cli import main
@@ -585,3 +588,60 @@ def test_parser_is_built_once_and_reused(capsys):
     assert main(["types", "--fixture", "k33_phi_a"]) == 0
     out = capsys.readouterr().out
     assert out.endswith(first) and '"empty": false' in out
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("kind", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_domain_error(self, tmp_path, capsys, kind):
+        target = tmp_path / "missing" / "x.json" if kind == "missing directory" else tmp_path
+        code, out = run_cli(capsys, "analyze", "--fixture", "k33_phi_a", "--trials", "1", "--out", str(target))
+        assert code == 3
+        assert json.loads(out)["error"].startswith(f"cannot write output file {target}: ")
+
+    def test_out_writes_what_stdout_would_print(self, tmp_path, capsys):
+        target = tmp_path / "x.json"
+        code, printed = run_cli(capsys, "basis", "--fixture", "k33_phi_a")
+        assert run_cli(capsys, "basis", "--fixture", "k33_phi_a", "--out", str(target)) == (0, "")
+        assert target.read_text(encoding="utf-8") == printed
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf, "\u00e9\u2192\U0001f600", ""])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=5), children, max_size=5)
+                      | st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6)
+                      | st.just([]) | st.just({})),
+    max_leaves=30,
+)
+
+
+def _reference_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_same_text_as_json_dumps(self, payload):
+        assert cli._json_text(payload) == _reference_text(payload)
+
+    def test_keys_that_are_not_strings(self):
+        payload = {"a": {2: [1.5], 10: None}, "b": [(1, 2.0)]}
+        assert cli._json_text(payload) == _reference_text(payload)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_every_fixture_payload(self, name, monkeypatch, capsys):
+        payloads = []
+        writer = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda payload: payloads.append(payload) or writer(payload))
+        for command in (["analyze"], ["sample", "--count", "5"], ["types"], ["types", "--normalized"],
+                        ["basis"], ["empty-check"], ["oracle", "types"], ["oracle", "generic"]):
+            main([*command, "--fixture", name])
+        capsys.readouterr()
+        assert payloads
+        for payload in payloads:
+            assert writer(payload) == _reference_text(payload)
