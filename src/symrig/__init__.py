@@ -38,17 +38,20 @@ from .groups import (
     element_order,
     fixed_subspace,
     schoenflies_group,
-    validate_group,
 )
 from .oracle import (
     BruteForceTypes,
     GenericCheckReport,
+    OrbitStructure,
     brute_force_type_search,
     constraint_stack,
     exhaustive_generic_check,
     kernel_oracle,
+    orbit_sample,
+    orbit_structure,
     symmetry_constraint_matrix,
     trivial_motion_basis,
+    validate_group,
 )
 from .problem import (
     ProblemFile,
@@ -69,14 +72,11 @@ from .rigidity import (
 from .svg import render_svg
 from .symspace import (
     ConfigSpaceBasis,
-    OrbitStructure,
     SymGenericReport,
     class_is_empty,
     config_space_basis,
     constraint_residual,
     draw_samples,
-    orbit_sample,
-    orbit_structure,
     sample_config,
     sym_generic_verdict,
 )

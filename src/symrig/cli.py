@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .classify import (
     is_homomorphism,
     verify_type,
 )
-from .errors import InvalidFramework, NotInSymmetryClass, SymrigError
+from .errors import BadParam, InvalidFramework, NotInSymmetryClass, SymrigError
 from .graphs import format_cycles
 from .oracle import brute_force_type_search, exhaustive_generic_check
 from .problem import ProblemFile, load_fixture, load_problem
@@ -41,6 +42,15 @@ def _load(args) -> ProblemFile:
     if args.fixture:
         return load_fixture(args.fixture)
     return load_problem(args.problem)
+
+
+def _check_numbers(args) -> None:
+    """Reject a tolerance that is not a finite number >= 0, and a negative seed."""
+    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-geom", args.tol_geom)):
+        if not (math.isfinite(value) and value >= 0):
+            raise BadParam(f"{flag} must be a finite number >= 0, got {value}")
+    if args.seed is not None and args.seed < 0:
+        raise BadParam(f"--seed must be >= 0, got {args.seed}")
 
 
 def _seed(args, problem: ProblemFile) -> int:
@@ -196,14 +206,10 @@ def cmd_basis(args) -> str:
     problem = _load(args)
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
-    residual = 0.0
-    for row in basis.basis:
-        residual = max(residual, constraint_residual(basis, problem.group, phi,
-                                                     row.reshape(problem.graph.n, problem.dim)))
     return _json_text({
         "name": problem.name,
         "k": basis.k,
-        "max_residual": residual,
+        "max_residual": constraint_residual(basis, problem.group, phi, basis.basis),
         "vectors": [[float(c) for c in row] for row in basis.basis],
     })
 
@@ -327,6 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         text = args.func(args)
     except SymrigError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")

@@ -94,7 +94,7 @@ class InvalidGraph(SymrigError, ValueError):
 
 
 class InvalidGroup(SymrigError, ValueError):
-    """An element list that cannot start a group: empty, or element 0 not the identity."""
+    """An element list that makes no group: empty, element 0 not the identity, or a broken invariant."""
 
 
 class UnsupportedDim(SymrigError):

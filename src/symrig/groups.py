@@ -51,7 +51,6 @@ from .errors import (
 
 MAX_GROUP_ORDER = 200
 MATCH_TOL = 1e-9
-ORTHO_TOL = 1e-12  # validate_group's orthogonality bound, stricter than the 1e-9 a new element must meet
 # Element keys round entries to multiples of 2**-20: far coarser than the
 # rounding error of a product, far finer than the gap between two elements.
 _KEY_SCALE = float(2**20)
@@ -156,7 +155,6 @@ class SymmetryGroup:
     name: str = ""
     table: np.ndarray = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
-    _by_label: dict = field(init=False, repr=False)
     _table: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _table: np.ndarray | None) -> None:
@@ -172,7 +170,6 @@ class SymmetryGroup:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_by_label", {op.label: i for i, op in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -197,9 +194,9 @@ class SymmetryGroup:
         return idx
 
     def label_index(self, label: str) -> int:
-        if label not in self._by_label:
+        if label not in self.labels:
             raise UnknownName(f"no element labeled {label!r} in {self.name or 'group'}")
-        return self._by_label[label]
+        return self.labels.index(label)
 
     def multiply(self, i: int, j: int) -> int:
         k = int(self.table[i, j])
@@ -597,35 +594,3 @@ def schoenflies_group(
         q = _frame(ez if axis is None else axis, secondary_axis)
         mats = [snap_matrix(q @ g @ q.T) for g in mats]
     return _wrap(mats, 3, display)
-
-
-def validate_group(group: SymmetryGroup) -> None:
-    """Check the group invariants; raises ValueError describing a violation.
-
-    Checked: identity first, per-entry orthogonality and unit determinant
-    within ORTHO_TOL, pairwise-distinct elements, closure under products
-    and inverses, unique labels.
-    """
-    stack = group.matrices()
-    count, dim = stack.shape[0], group.dim
-    eye = np.eye(dim)
-    if np.max(np.abs(stack[0] - eye)) > MATCH_TOL:
-        raise ValueError("element 0 is not the identity")
-    skew = np.abs(np.swapaxes(stack, 1, 2) @ stack - eye).max(axis=(1, 2)) > ORTHO_TOL
-    bad = np.flatnonzero(skew | (np.abs(np.abs(np.linalg.det(stack)) - 1.0) > ORTHO_TOL * 10))
-    if bad.size:
-        i = int(bad[0])
-        fault = f"fails orthogonality at {ORTHO_TOL}" if skew[i] else "has non-unit determinant"
-        raise ValueError(f"element {i} ({group.elements[i].label}) {fault}")
-    first = _match(stack, stack)
-    dup = np.flatnonzero(first != np.arange(count))
-    if dup.size:
-        j = int(dup[np.argmin(first[dup])])
-        raise ValueError(f"elements {first[j]} and {j} coincide")
-    for i, row in enumerate(group.table):
-        if not np.any(row == 0):
-            raise ValueError(f"inverse of element {i} is missing")
-        if np.any(row < 0):
-            raise ValueError(f"product of elements {i} and {int(np.argmin(row))} is missing")
-    if len(set(group.labels)) != count:
-        raise ValueError("element labels are not unique")

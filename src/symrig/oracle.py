@@ -1,10 +1,12 @@
 """Independent slow checks used to validate the fast paths.
 
 Everything here trades speed for directness: full permutation scans
-instead of pruned search, exact integer elimination instead of SVD, and
-minor-by-minor genericity checks instead of a single rank. Hard input
+instead of pruned search, exact integer elimination instead of SVD,
+minor-by-minor genericity checks instead of a single rank, the dense
+constraint stack and orbit propagation instead of symspace's orbit-block
+kernels, and a group validator that checks every invariant. Hard input
 caps keep the run times sane; exceeding a cap raises instead of silently
-downgrading the check.
+downgrading the check. Only cli's oracle subcommands and the tests use it.
 """
 
 from __future__ import annotations
@@ -17,17 +19,21 @@ from math import lcm
 import numpy as np
 
 from ._numeric import kernel_basis
-from .classify import MAX_TYPE_PRODUCT, TypeAssignment
-from .errors import BadParam, CapExceeded, ExplosionGuard, LengthMismatch, NotInSymmetryClass, NotRationalizable
+from .classify import MAX_TYPE_PRODUCT, TypeAssignment, is_homomorphism
+from .errors import (BadParam, CapExceeded, ExplosionGuard, InconsistentPropagation, InvalidGroup, LengthMismatch,
+                     NotAHomomorphism, NotInSymmetryClass, NotRationalizable, SamplingExhausted)
 from .graphs import Graph, Permutation
-from .groups import SymmetryGroup
+from .groups import MATCH_TOL, LinearSubspace, SymmetryGroup, _match
 from .rigidity import Framework, rigidity_matrix
+from .symspace import DRAW_RETRIES, _orbits, constraint_residual
 
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
 GENERIC_MAX_VERTICES = 4
 MINOR_TOL = 1e-9  # a minor vanishes when its least singular value is this small relative to max(1, largest)
 RATIONAL_TOL = 1e-9  # largest distance from an entry to the rational kernel_oracle replaces it by
+MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
+ORTHO_TOL = 1e-12  # validate_group's orthogonality bound, stricter than the 1e-9 a new element must meet
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,110 @@ def constraint_stack(group: SymmetryGroup, images, n: int) -> np.ndarray:
     ])
 
 
-def _stacked_constraints(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> np.ndarray:
-    return constraint_stack(group, phi.images, graph.n)
+@dataclass(frozen=True, eq=False)
+class OrbitStructure:
+    """Vertex orbits of a homomorphic type, with per-representative freedom."""
+
+    graph: Graph
+    orbits: tuple[tuple[int, ...], ...]
+    representatives: tuple[int, ...]
+    fixed_spaces: tuple[LinearSubspace, ...]
+
+    def degrees_of_freedom(self) -> int:
+        return sum(space.dim for space in self.fixed_spaces)
+
+
+def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> OrbitStructure:
+    """Vertex orbits under the assigned automorphisms, for homomorphic types.
+
+    Each representative may be placed anywhere in the intersection of the
+    fixed subspaces of its stabilizing operations; the rest of its orbit
+    is then forced. Non-homomorphic assignments are rejected because orbit
+    propagation is only consistent along a group action.
+    """
+    if not is_homomorphism(group, phi):
+        raise NotAHomomorphism("orbit structure needs a homomorphic type")
+    orbits = _orbits(graph.n, phi.images)
+    spaces = []
+    for orbit in orbits:
+        # A homomorphic type maps the identity to the identity, so the rows are never empty.
+        fixing = [x for x in range(len(group)) if phi[x](orbit[0]) == orbit[0]]
+        stabilizer_rows = (group.matrices()[fixing] - np.eye(group.dim)).reshape(-1, group.dim)
+        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows)))
+    reps = tuple(orbit[0] for orbit in orbits)
+    return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
+
+
+def _ball_point(space: LinearSubspace, rng: np.random.Generator) -> np.ndarray:
+    if space.dim == 0:
+        return np.zeros(space.ambient_dim)
+    while True:
+        w = rng.uniform(-1.0, 1.0, space.dim)
+        if np.linalg.norm(w) <= 1.0:
+            return w @ space.basis
+
+
+def orbit_sample(structure: OrbitStructure, group: SymmetryGroup, phi: TypeAssignment,
+                 seed: int = 0, framework_tol: float = 1e-8) -> Framework:
+    """Sample by placing each orbit representative and propagating.
+
+    Representatives are drawn uniformly from the unit ball of their fixed
+    subspace; every other joint position is the image of its representative
+    under some operation. Draws that collapse a bar are rejected.
+    """
+    g = structure.graph
+    rng = np.random.default_rng(seed)
+    for _ in range(DRAW_RETRIES):
+        coords = np.full((g.n, group.dim), np.nan)
+        for rep, space in zip(structure.representatives, structure.fixed_spaces):
+            point = _ball_point(space, rng)
+            for x in range(len(group)):
+                target = phi[x](rep)
+                image = group.elements[x].matrix @ point
+                if np.isnan(coords[target, 0]):
+                    coords[target] = image
+                elif np.max(np.abs(coords[target] - image)) > MEMBERSHIP_TOL:
+                    raise InconsistentPropagation(
+                        f"joint {g.labels[target]} received two positions differing by more than {MEMBERSHIP_TOL}"
+                    )
+        residual = constraint_residual(g, group, phi, coords)
+        if residual > MEMBERSHIP_TOL:
+            raise InconsistentPropagation(f"propagated configuration violates the class constraints by {residual:.2e}")
+        f = Framework(g, coords)
+        if not f.edge_violations(framework_tol):
+            return f
+    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
+
+
+def validate_group(group: SymmetryGroup) -> None:
+    """Check the group invariants; raises InvalidGroup describing a violation.
+
+    Checked: identity first, per-entry orthogonality and unit determinant
+    within ORTHO_TOL, pairwise-distinct elements, closure under products
+    and inverses, unique labels.
+    """
+    stack = group.matrices()
+    count, eye = len(stack), np.eye(group.dim)
+    if np.max(np.abs(stack[0] - eye)) > MATCH_TOL:
+        raise InvalidGroup("element 0 is not the identity")
+    skew = np.abs(np.swapaxes(stack, 1, 2) @ stack - eye).max(axis=(1, 2)) > ORTHO_TOL
+    bad = np.flatnonzero(skew | (np.abs(np.abs(np.linalg.det(stack)) - 1.0) > ORTHO_TOL * 10))
+    if bad.size:
+        i = int(bad[0])
+        fault = f"fails orthogonality at {ORTHO_TOL}" if skew[i] else "has non-unit determinant"
+        raise InvalidGroup(f"element {i} ({group.elements[i].label}) {fault}")
+    first = _match(stack, stack)
+    dup = np.flatnonzero(first != np.arange(count))
+    if dup.size:
+        j = int(dup[np.argmin(first[dup])])
+        raise InvalidGroup(f"elements {first[j]} and {j} coincide")
+    for i, row in enumerate(group.table):
+        if not np.any(row == 0):
+            raise InvalidGroup(f"inverse of element {i} is missing")
+        if np.any(row < 0):
+            raise InvalidGroup(f"product of elements {i} and {int(np.argmin(row))} is missing")
+    if len(set(group.labels)) != count:
+        raise InvalidGroup("element labels are not unique")
 
 
 @dataclass(frozen=True)

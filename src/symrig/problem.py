@@ -185,7 +185,7 @@ def parse_problem(data: dict) -> ProblemFile:
         coords = np.array(rows, dtype=float)
 
     seed = data.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
+    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0, "'seed' must be a non-negative integer")
 
     return ProblemFile(
         name=name, description=description, dim=dim, graph=graph, group=group,

@@ -4,7 +4,8 @@ A configuration p lies in the class of a type phi exactly when
 M_x p_v = p_{phi_x(v)} for every operation x and joint v. Each constraint
 couples a joint only with its own image, so the space U of such
 configurations is a direct sum over the orbits of the permutation group
-the images generate, and its basis is built one orbit at a time. Almost
+the images generate, and its basis is built one orbit at a time (oracle
+keeps the dense stack and orbit propagation as references). Almost
 every point of U realizes the maximal rank the class can attain, which
 makes one sampled witness a sound certificate for rigidity properties of
 the whole class; negative verdicts from sampling remain probabilistic.
@@ -34,17 +35,11 @@ import numpy as np
 
 from . import _numeric
 from ._numeric import kernel_basis
-from .classify import TypeAssignment, is_homomorphism
-from .errors import (
-    BadParam,
-    InconsistentPropagation,
-    LengthMismatch,
-    NotAHomomorphism,
-    NotAnAutomorphism,
-    SamplingExhausted,
-)
+from .classify import TypeAssignment
+from .classify import is_homomorphism  # noqa: F401  bench/tracing.py wraps this name of symspace
+from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted
 from .graphs import Graph, bar_vectors, is_automorphism, short_bars
-from .groups import LinearSubspace, SymmetryGroup, fixed_subspace
+from .groups import SymmetryGroup
 from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdicts
 from .rigidity import rigidity_verdict  # noqa: F401  bench/tracing.py wraps this name of symspace
 
@@ -54,7 +49,6 @@ from .rigidity import rigidity_verdict  # noqa: F401  bench/tracing.py wraps thi
 # twice as fast at 96 and 4 times as fast at 192.
 PHASE_MIN_COLUMNS = 64
 DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
-MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
 FORCED_BAR_TOL = 1e-9  # a bar whose p_u - p_v is this small on every basis vector is forced to zero length
 
 
@@ -138,10 +132,15 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
 
 
 def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignment, coords: np.ndarray) -> float:
-    """Largest violation of the class constraints by a configuration."""
+    """Largest violation of the class constraints by configurations coords[..., n, d], in chunks of STACK_CELLS."""
     graph = basis_or_graph.graph if isinstance(basis_or_graph, ConfigSpaceBasis) else basis_or_graph
-    p = np.asarray(coords, dtype=float).reshape(graph.n, group.dim)
-    return float(np.max(np.abs(p @ np.swapaxes(group.matrices(), 1, 2) - p[phi.array]), initial=0.0))
+    p = np.asarray(coords, dtype=float).reshape(-1, 1, graph.n, group.dim)
+    worst = 0.0
+    for part in _numeric.chunks(len(p), len(group) * graph.n * group.dim):
+        diff = p[part] @ group.matrices().swapaxes(1, 2)
+        diff -= p[part, 0][:, phi.array]
+        worst = max(worst, float(np.max(np.abs(diff, out=diff), initial=0.0)))
+    return worst
 
 
 def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
@@ -216,86 +215,6 @@ def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_t
         raise BadParam(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     return [Framework(basis.graph, coords) for chunk in _draws(basis, rng, count, framework_tol) for coords in chunk]
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitStructure:
-    """Vertex orbits of a homomorphic type, with per-representative freedom."""
-
-    graph: Graph
-    orbits: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    fixed_spaces: tuple[LinearSubspace, ...]
-
-    def degrees_of_freedom(self) -> int:
-        return sum(space.dim for space in self.fixed_spaces)
-
-
-def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> OrbitStructure:
-    """Vertex orbits under the assigned automorphisms, for homomorphic types.
-
-    Each representative may be placed anywhere in the intersection of the
-    fixed subspaces of its stabilizing operations; the rest of its orbit
-    is then forced. Non-homomorphic assignments are rejected because orbit
-    propagation is only consistent along a group action.
-    """
-    if not is_homomorphism(group, phi):
-        raise NotAHomomorphism("orbit structure needs a homomorphic type")
-    orbits = _orbits(graph.n, phi.images)
-    spaces = []
-    for orbit in orbits:
-        # A homomorphic type maps the identity to the identity, so the rows are never empty.
-        fixing = [x for x in range(len(group)) if phi[x](orbit[0]) == orbit[0]]
-        stabilizer_rows = (group.matrices()[fixing] - np.eye(group.dim)).reshape(-1, group.dim)
-        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows)))
-    reps = tuple(orbit[0] for orbit in orbits)
-    return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
-
-
-def _ball_point(space: LinearSubspace, rng: np.random.Generator) -> np.ndarray:
-    if space.dim == 0:
-        return np.zeros(space.ambient_dim)
-    while True:
-        w = rng.uniform(-1.0, 1.0, space.dim)
-        if np.linalg.norm(w) <= 1.0:
-            return w @ space.basis
-
-
-def orbit_sample(
-    structure: OrbitStructure,
-    group: SymmetryGroup,
-    phi: TypeAssignment,
-    seed: int = 0,
-    framework_tol: float = 1e-8,
-) -> Framework:
-    """Sample by placing each orbit representative and propagating.
-
-    Representatives are drawn uniformly from the unit ball of their fixed
-    subspace; every other joint position is the image of its representative
-    under some operation. Draws that collapse a bar are rejected.
-    """
-    g = structure.graph
-    rng = np.random.default_rng(seed)
-    for _ in range(DRAW_RETRIES):
-        coords = np.full((g.n, group.dim), np.nan)
-        for rep, space in zip(structure.representatives, structure.fixed_spaces):
-            point = _ball_point(space, rng)
-            for x in range(len(group)):
-                target = phi[x](rep)
-                image = group.elements[x].matrix @ point
-                if np.isnan(coords[target, 0]):
-                    coords[target] = image
-                elif np.max(np.abs(coords[target] - image)) > MEMBERSHIP_TOL:
-                    raise InconsistentPropagation(
-                        f"joint {g.labels[target]} received two positions differing by more than {MEMBERSHIP_TOL}"
-                    )
-        residual = constraint_residual(g, group, phi, coords)
-        if residual > MEMBERSHIP_TOL:
-            raise InconsistentPropagation(f"propagated configuration violates the class constraints by {residual:.2e}")
-        f = Framework(g, coords)
-        if not f.edge_violations(framework_tol):
-            return f
-    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,16 @@ from symrig.classify import (
     restrict_type,
 )
 from symrig.graphs import Graph, Permutation, parse_cycles
-from symrig.groups import schoenflies_group, validate_group
-from symrig.oracle import _stacked_constraints, brute_force_type_search, exhaustive_generic_check, kernel_oracle
+from symrig.groups import schoenflies_group
+from symrig.oracle import (
+    brute_force_type_search,
+    constraint_stack,
+    exhaustive_generic_check,
+    kernel_oracle,
+    orbit_sample,
+    orbit_structure,
+    validate_group,
+)
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import Framework, rigidity_verdict
 from symrig.symspace import (
@@ -28,8 +36,6 @@ from symrig.symspace import (
     config_space_basis,
     constraint_residual,
     draw_samples,
-    orbit_sample,
-    orbit_structure,
     sym_generic_verdict,
 )
 
@@ -240,7 +246,7 @@ def test_criterion_09_basis_residuals_and_kernel_oracle():
             residual = constraint_residual(basis, prob.group, phi, row)
             if residual > 1e-9:
                 failures.append(f"{name}: basis vector {j} violates constraints by {residual:.2e}")
-        stack = _stacked_constraints(prob.graph, prob.group, phi)
+        stack = constraint_stack(prob.group, phi.images, prob.graph.n)
         if name in SVD_ONLY:
             loose = kernel_basis(stack, rtol=1e-6).shape[0]
             if loose != basis.k:

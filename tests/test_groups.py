@@ -40,8 +40,8 @@ from symrig.groups import (
     _lookup,
     _match,
     _wrap,
-    validate_group,
 )
+from symrig.oracle import validate_group
 
 CATALOG_2D = ["C1", "Cs", "C2", "C5", "C2v", "C6v"]
 CATALOG_3D = ["C1", "Cs", "Ci", "C3", "C4v", "C3h", "D4", "D3h", "D2d", "S4", "S6",

@@ -9,8 +9,8 @@ from symrig.errors import BadParam, CapExceeded, LengthMismatch, NotInSymmetryCl
 from symrig.graphs import Graph, Permutation
 from symrig.groups import schoenflies_group
 from symrig.oracle import (
-    _stacked_constraints,
     brute_force_type_search,
+    constraint_stack,
     exhaustive_generic_check,
     kernel_oracle,
 )
@@ -90,7 +90,7 @@ class TestKernelOracle:
     )
     def test_agrees_with_svd_on_constraint_stacks(self, name):
         prob = load_fixture(name)
-        stack = _stacked_constraints(prob.graph, prob.group, prob.phi)
+        stack = constraint_stack(prob.group, prob.phi.images, prob.graph.n)
         basis = config_space_basis(prob.graph, prob.group, prob.phi)
         assert kernel_oracle(stack) == basis.k
 

@@ -1,0 +1,37 @@
+"""constraint_residual over a stack of configurations against a loop over configurations and operations."""
+
+import numpy as np
+import pytest
+
+from symrig import _numeric
+from symrig.classify import find_base_type
+from symrig.problem import fixture_names, load_fixture
+from symrig.symspace import config_space_basis, constraint_residual
+
+
+def _rows(name):
+    prob = load_fixture(name)
+    phi = prob.phi if prob.phi is not None else find_base_type(prob.graph, prob.coords, prob.group)
+    basis = config_space_basis(prob.graph, prob.group, phi)
+    # basis rows satisfy the constraints; random rows violate them by a visible amount
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, (4, prob.graph.n * prob.dim))
+    return prob, phi, basis, np.vstack([basis.basis, noise])
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_stack_is_the_largest_row(name, monkeypatch):
+    prob, phi, basis, rows = _rows(name)
+    per_row = max(float(np.max(np.abs(c @ op.matrix.T - c[list(perm.images)])))
+                  for c in rows.reshape(-1, prob.graph.n, prob.dim)
+                  for op, perm in zip(prob.group.elements, phi.images))
+    assert per_row > 0.0
+    assert max(constraint_residual(basis, prob.group, phi, row) for row in rows) == per_row
+    assert constraint_residual(basis, prob.group, phi, rows) == per_row
+    assert constraint_residual(prob.graph, prob.group, phi, rows.reshape(-1, prob.graph.n, prob.dim)) == per_row
+    monkeypatch.setattr(_numeric, "STACK_CELLS", 1)  # one configuration per chunk
+    assert constraint_residual(basis, prob.group, phi, rows) == per_row
+
+
+def test_empty_stack_has_no_residual():
+    prob, phi, basis, rows = _rows("k33_phi_a")
+    assert constraint_residual(basis, prob.group, phi, rows[:0]) == 0.0

@@ -10,7 +10,7 @@ from symrig.classify import TypeAssignment, find_base_type, identity_type, is_ho
 from symrig.errors import BadParam, LengthMismatch, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import schoenflies_group
-from symrig.oracle import constraint_stack, exhaustive_generic_check, symmetry_constraint_matrix
+from symrig.oracle import constraint_stack, exhaustive_generic_check, orbit_sample, orbit_structure, symmetry_constraint_matrix
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import rigidity_verdict
 from symrig.symspace import (
@@ -19,8 +19,6 @@ from symrig.symspace import (
     config_space_basis,
     constraint_residual,
     draw_samples,
-    orbit_sample,
-    orbit_structure,
     sample_config,
     sym_generic_verdict,
 )
