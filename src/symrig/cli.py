@@ -329,9 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """Write `--tol-rank -1e-8` as `--tol-rank=-1e-8`, so that the value reaches _check_numbers.
+
+    argparse reads a separate word that starts with '-' as an option unless it
+    looks like a plain negative number, so -1e-8, -inf and -nan never reach
+    the tolerance flags as values. Abbreviated flags (`--tol-g`) are joined too.
+    """
+    joined: list[str] = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        if len(flag) > 2 and ("--tol-rank".startswith(flag) or "--tol-geom".startswith(flag)) and word.startswith("-"):
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + word
+                continue
+        joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_numbers(args)
         text = args.func(args)

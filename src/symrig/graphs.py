@@ -87,17 +87,21 @@ class Graph:
 
     bars holds the edges once, sorted, as a read-only (|E|, 2) index array
     with u < v in each row; every per-bar array follows its row order.
+    index maps each label to its vertex, built once for parse_cycles and index_of.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[str, ...]
     bars: np.ndarray = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bars = np.array(sorted(self.edges), dtype=int).reshape(-1, 2)
         bars.setflags(write=False)
         object.__setattr__(self, "bars", bars)
+        # each label's first vertex, as labels.index finds it
+        object.__setattr__(self, "index", dict(zip(reversed(self.labels), range(len(self.labels) - 1, -1, -1))))
 
     @staticmethod
     def make(n: int, edge_list, labels: tuple[str, ...] | None = None) -> "Graph":
@@ -153,10 +157,9 @@ class Graph:
         return [len(a) for a in adj]
 
     def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise BadPermutation(f"unknown vertex name {label!r}") from None
+        if label not in self.index:
+            raise BadPermutation(f"unknown vertex name {label!r}")
+        return self.index[label]
 
 
 def bar_images(graph: Graph, images: np.ndarray) -> np.ndarray:
@@ -258,9 +261,11 @@ def format_cycles(perm: Permutation, labels: tuple[str, ...], include_fixed: boo
     return "".join("(" + " ".join(labels[i] for i in cyc) + ")" for cyc in cycles)
 
 
-def parse_cycles(text: str, labels: tuple[str, ...]) -> Permutation:
+def parse_cycles(text: str, labels: tuple[str, ...] | dict[str, int]) -> Permutation:
     """Parse cycle notation like "(v1 v2)(v5 v6)" over the given labels.
 
+    labels are the vertex names in order, or a dict from name to vertex
+    such as Graph.index, which spares building that dict on every call.
     "id" and "()" denote the identity. Fixed points may be written as
     singleton cycles; every label may appear at most once. One regex scan
     finds the cycles, and their names are looked up all at once.
@@ -271,7 +276,7 @@ def parse_cycles(text: str, labels: tuple[str, ...]) -> Permutation:
         return Permutation.identity(n)
     if stripped.count("(") != stripped.count(")"):
         raise BadPermutation(f"unbalanced parentheses in {text!r}")
-    index = {name: i for i, name in enumerate(labels)}
+    index = labels if isinstance(labels, dict) else {name: i for i, name in enumerate(labels)}
     end = CYCLES.match(stripped).end()  # the cycles before any text that is not one
     cycles = [body.replace(",", " ").split() for body in CYCLE.findall(stripped, 0, end)]
     ids = list(map(index.get, chain.from_iterable(cycles)))

@@ -15,17 +15,19 @@ Group elements are canonicalized by snapping entries within SNAP_TOL (1e-12)
 of 0, +-0.5, +-1, and deduplicated at MATCH_TOL (1e-9) max-entry distance.
 Each group is checked, snapped and labelled in one pass over its element
 stack: batched determinants, traces and axes, and one match of every
-rotation angle against 2 pi k / m for all m up to MAX_GROUP_ORDER.
+distinct rotation angle against 2 pi k / m for all m up to MAX_GROUP_ORDER.
 
 Elements are looked up by key: each matrix is filed in a dict under its
 entries rounded to a fixed grid. A key hit is confirmed at the 1e-9
 distance; a miss or a failed confirm falls back to scanning every element,
 so a grid boundary can cost time but never change a match. The closure
-(close_group) uses this lookup and fills the multiplication table with the
-index of each product as it forms it. Groups given as explicit lists (the
-C/Cv/D/... catalog families and user-built SymmetryGroups) build the table
-one row at a time with the plain scan, which is faster for small groups;
-index_of, called only to restrict a type to a subgroup, scans too.
+(close_group) files only the products of elements with generators, walking
+the Cayley graph, and composes the rest of the multiplication table from
+those integers; one chunked pass checks the table against the float
+products. Groups given as explicit lists (the C/Cv/D/... catalog families
+and user-built SymmetryGroups) build the table one row at a time with the
+plain scan, which is faster for small groups; index_of, called only to
+restrict a type to a subgroup, scans too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from math import atan2, cos, degrees, pi, sin, sqrt
 
 import numpy as np
 
-from ._numeric import kernel_basis, snap_matrix
+from ._numeric import chunks, kernel_basis, snap_matrix
 from .errors import (
     BadParam,
     DimensionMismatch,
@@ -287,9 +289,9 @@ def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
     """
     eye, rows = np.eye(dim), np.arange(len(raw))
     # math.atan2: np.arctan2 differs from it in the last bit on some inputs
-    theta = np.array([atan2(m[1, 0], m[0, 0]) for m in raw])
+    theta = np.array(list(map(atan2, raw[:, 1, 0].tolist(), raw[:, 0, 0].tolist())))
     line = ((theta / 2.0) % pi).tolist()
-    identity = np.abs(raw - eye).max(axis=(1, 2)) <= MATCH_TOL
+    identity = (np.abs(raw - eye).max(axis=(1, 2)) <= MATCH_TOL).tolist()
     proper = np.linalg.det(raw) > 0
     angle = theta % (2.0 * pi)
     if dim == 3:
@@ -298,22 +300,25 @@ def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
         axis = np.stack([raw[:, 2, 1] - raw[:, 1, 2], raw[:, 0, 2] - raw[:, 2, 0], raw[:, 1, 0] - raw[:, 0, 1]], axis=1)
         big = np.abs(axis) > 1e-9
         angle = np.where(big.any(axis=1) & (axis[rows, big.argmax(axis=1)] < 0), 2.0 * pi - angle, angle)
-        inversion = np.abs(raw + eye).max(axis=(1, 2)) <= MATCH_TOL
+        inversion = (np.abs(raw + eye).max(axis=(1, 2)) <= MATCH_TOL).tolist()
         symmetric = np.abs(raw - np.swapaxes(raw, 1, 2)).max(axis=(1, 2)) <= MATCH_TOL
-        mirror = symmetric & (np.abs(trace - 1.0) <= MATCH_TOL)
+        mirror = (symmetric & (np.abs(trace - 1.0) <= MATCH_TOL)).tolist()
         # A mirror is I - 2 n n^T, so its normal n is the longest column of I - M over that column's length.
         cols = np.swapaxes(eye - raw, 1, 2)
         longest = cols[rows, np.linalg.norm(cols, axis=2).argmax(axis=1)]
         nz = (np.abs(longest[:, 2]) / np.maximum(np.linalg.norm(longest, axis=1), 1e-300)).tolist()
     # angle = 2 pi k / m for the least m that fits within 1e-9; two fractions
-    # with m <= MAX_GROUP_ORDER lie 1/MAX_GROUP_ORDER^2 apart, so it is the closest too
-    x = (angle / (2.0 * pi)) % 1.0
+    # with m <= MAX_GROUP_ORDER lie 1/MAX_GROUP_ORDER^2 apart, so it is the closest too.
+    # Each distinct angle is matched once.
+    slot: dict[float, int] = {}
+    back = [slot.setdefault(v, len(slot)) for v in ((angle / (2.0 * pi)) % 1.0).tolist()]
+    x = np.array(list(slot))
     den = np.arange(1, MAX_GROUP_ORDER + 1)
     num = np.rint(x[:, None] * den)
     fits = np.abs(num / den - x[:, None]) <= 1e-9
-    order = np.where(fits.any(axis=1), den[fits.argmax(axis=1)], 0).tolist()
-    turns = num[rows, fits.argmax(axis=1)].astype(int).tolist()
-    angle = angle.tolist()
+    order = np.where(fits.any(axis=1), den[fits.argmax(axis=1)], 0)[back].tolist()
+    turns = num[np.arange(len(x)), fits.argmax(axis=1)].astype(int)[back].tolist()
+    angle, proper = angle.tolist(), proper.tolist()
 
     def turn(name: str, free: str, i: int) -> str:
         if order[i] <= 1:  # no fraction fits, or a whole turn
@@ -358,15 +363,15 @@ def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None,
 def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closure") -> SymmetryGroup:
     """Close a generator list under products, identity first, no duplicates.
 
-    Breadth-first, in order of first appearance: element g is multiplied by
-    g and every element before it (g e, then e g), and a snapped product is
-    kept if it matches no element found so far. Each product is looked up
-    by its key, a hit confirmed at MATCH_TOL and anything else scanned (see
-    the module docstring). Its index goes into the multiplication table as
-    it is formed, g e into g's row and e g into g's column, so the group
-    gets the finished table. Raises NotClosedWithinBound once more than
-    max_order distinct elements exist, and for max_order < 1, since the
-    identity alone is one element.
+    A breadth-first walk of the right Cayley graph forms and files by key
+    only the |S| |gens| products x s, which give the maps R_s: x -> x s; the
+    rest of the table is integer composition, a y = R_s[a x] when y was
+    reached as x s. The element order and bits are those of a row-by-row
+    closure (identity, distinct generators, then each element as first
+    formed by g e, then e g, for e up to g), replayed on the integer table;
+    a chunked pass checks every table entry against its float product.
+    Raises NotClosedWithinBound once more than max_order distinct elements
+    exist, at once for a generator of higher order, and for max_order < 1.
     """
     gens = [g.matrix if isinstance(g, OrthogonalOp) else np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -377,40 +382,91 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     checked = _orthogonal(gens)
     if max_order < 1:
         raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
-    dim = checked.shape[1]
-    found = np.empty((max_order + 1, dim, dim))
-    found[0] = np.eye(dim)
-    by_key = {_keys(found[:1])[0]: 0}
-    count = 1
+    for g in checked:
+        try:
+            element_order(OrthogonalOp._checked(g, ""), max_order)
+        except OrderBoundExceeded:
+            raise NotClosedWithinBound(f"closure exceeded {max_order} elements") from None
+    n_gens, dim = checked.shape[:2]
 
-    def file_batch(batch: np.ndarray) -> np.ndarray:
-        """Index of each matrix in batch, appending the new ones in batch order."""
-        nonlocal count
-        keys = _keys(batch)
+    # The Cayley graph, one level per batch, elements numbered as the walk finds them:
+    # right[s, x] indexes x s. found starts zeroed, as a key miss (-1) reads its last row.
+    found = np.zeros((max_order, dim, dim))
+    found[0] = np.eye(dim)
+    by_key, count = {_keys(found[:1])[0]: 0}, 1
+    right = np.empty((n_gens, max_order), dtype=int)
+    levels, frontier = [], np.zeros(1, dtype=int)
+    while frontier.size:
+        flat = (found[frontier][:, None] @ checked).reshape(-1, dim * dim)
+        keys = _keys(flat)
         idx = np.array([by_key.get(key, -1) for key in keys])
-        hit = np.flatnonzero(idx >= 0)
-        far = np.abs(batch[hit] - found[idx[hit]]).max(axis=(1, 2)) > MATCH_TOL
-        idx[hit[far]] = -1
-        for t in np.flatnonzero(idx < 0):  # new elements, repeats of them, boundary cases
-            k = _lookup(batch[t], keys[t], by_key, found[:count])
+        suspect = (idx < 0) | (np.abs(flat - found.reshape(max_order, -1)[idx]).max(axis=1) > MATCH_TOL)
+        # With no entry within MATCH_TOL of a key boundary, every element that matches
+        # a product shares its key, so a key miss proves it new; _lookup scans the rest.
+        scaled = flat * _KEY_SCALE
+        clear = (np.abs(scaled - np.rint(scaled)) < 0.5 - MATCH_TOL * _KEY_SCALE).all(axis=1).tolist()
+        new = []
+        for t in np.flatnonzero(suspect).tolist():
+            m = flat[t].reshape(dim, dim)
+            k = -1 if clear[t] and keys[t] not in by_key else _lookup(m, keys[t], by_key, found[:count])
             if k < 0:
                 if count >= max_order:
                     raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
-                found[count], k = batch[t], count
+                found[count], k = m, count
                 by_key.setdefault(keys[t], k)
                 count += 1
+                new.append(t)
             idx[t] = k
-        return idx
+        right[:, frontier] = idx.reshape(-1, n_gens).T
+        new = np.array(new, dtype=int)
+        levels.append((np.arange(count - len(new), count), frontier[new // n_gens], new % n_gens))
+        frontier = levels[-1][0]
+    walk = np.empty((count, count), dtype=int)  # the product table in the walk's numbering
+    walk[:, 0] = np.arange(count)
+    for ys, xs, ss in levels:
+        walk[:, ys] = right[ss, walk[:, xs]]
 
-    file_batch(checked)
-    products = [np.zeros(2, dtype=int)]  # element 0: identity times identity
-    while len(products) < count:
-        g, reached = found[len(products)], found[:len(products) + 1]
-        products.append(file_batch(snap_matrix(np.stack([g @ reached, reached @ g], axis=1).reshape(-1, dim, dim))))
-    table = np.empty((count, count), dtype=int)
-    for i, idx in enumerate(products):
-        table[i, :i + 1], table[:i + 1, i] = idx[0::2], idx[1::2]
-    return _wrap(found[:count], dim, name, table=table)
+    # The row-by-row order on the integer table; pairs[i] = (a, b) if element i was first formed as a b.
+    first = {}  # each distinct generator's first position in the list
+    for t, k in enumerate(right[:, 0].tolist()):
+        first.setdefault(k, t)
+    first.pop(0, None)
+    order, walk_rows, row = [0, *first], walk.tolist(), 1
+    pairs, placed = [(-1, -1)] * len(order), set(order)
+    while len(order) < count:
+        g = order[row]
+        for j, e in enumerate(order[:row + 1]):
+            for k, pair in ((walk_rows[g][e], (row, j)), (walk_rows[e][g], (j, row))):
+                if k not in placed:
+                    placed.add(k)
+                    order.append(k)
+                    pairs.append(pair)
+        row += 1
+    # The bits in waves: an element first formed in row r needs the bits of elements 0..r only.
+    bits, known = np.empty((count, dim, dim)), len(first) + 1
+    bits[0], bits[1:known] = np.eye(dim), checked[list(first.values())]
+    pairs = np.array(pairs)
+    formed_in = pairs.max(axis=1)
+    while known < count:
+        stop = int(np.searchsorted(formed_in, known))
+        a, b = pairs[known:stop].T
+        bits[known:stop] = snap_matrix(bits[a] @ bits[b])
+        known = stop
+    perm = np.array(order)
+    rank = np.empty(count, dtype=int)
+    rank[perm] = np.arange(count)
+    table = rank[walk[perm][:, perm]]
+
+    # Every entry within MATCH_TOL of its float product. With columns[a, k, c] = bits[k, a, c],
+    # row (a, i) of columns[:, rows] times the d x (count d) columns holds bits[i] bits[j] in block j.
+    # A product off its entry is one more element, so the generators do not close at MATCH_TOL.
+    columns = bits.transpose(1, 0, 2).copy()
+    for rows in chunks(count, count * dim * dim):
+        block = columns[:, rows].reshape(-1, dim) @ columns.reshape(dim, -1)
+        block -= np.take(columns, table[rows], axis=1).reshape(block.shape)
+        if np.abs(block, out=block).max() > MATCH_TOL:
+            raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
+    return _wrap(bits, dim, name, table=table)
 
 
 # ---------------------------------------------------------------------------

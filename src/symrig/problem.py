@@ -121,7 +121,7 @@ def _parse_type(spec, graph: Graph, group: SymmetryGroup) -> tuple[str, TypeAssi
         text = spec[label]
         _expect(isinstance(text, str), f"'type' entry for {label} must be a cycle string")
         try:
-            images.append(parse_cycles(text, graph.labels))
+            images.append(parse_cycles(text, graph.index))
         except BadPermutation as exc:
             raise ParseError(f"'type' entry for {label}: {exc}") from exc
     return "explicit", TypeAssignment(images=tuple(images)), has_identity_entry

@@ -122,6 +122,21 @@ class TestGraph:
         with pytest.raises(BadPermutation):
             g.index_of("zz")
 
+    def test_label_index_is_built_once(self):
+        g = Graph.make(3, [(0, 1)], labels=("a", "b", "c"))
+        assert g.index == {"a": 0, "b": 1, "c": 2}
+        assert g.index is g.index
+        assert g == Graph.make(3, [(0, 1)], labels=("a", "b", "c"))
+        # a Graph built directly may repeat a label: index_of keeps the first vertex
+        assert Graph(n=2, edges=frozenset(), labels=("x", "x")).index_of("x") == 0
+
+    @pytest.mark.parametrize("text", ["(a b c)", "(c a)", "id", "(a)(b c)"])
+    def test_parse_cycles_reads_the_graph_index(self, text):
+        g = Graph.make(3, [(0, 1)], labels=("a", "b", "c"))
+        assert parse_cycles(text, g.index) == parse_cycles(text, g.labels)
+        with pytest.raises(BadPermutation, match="unknown vertex name 'zz'"):
+            parse_cycles("(a zz)", g.index)
+
 
 class TestAutomorphisms:
     def test_triangle(self):

@@ -463,6 +463,75 @@ class TestTableClosure:
             SymmetryGroup(dim=2, elements=ops)
 
 
+def random_generators(rng, dim):
+    """Generators of a random catalog-like group in a random frame, of random orders."""
+    m = int(rng.integers(2, 13))
+    if dim == 2:
+        gens = [rot2(2 * math.pi * int(rng.integers(1, m)) / m), mirror2(rng.uniform(0, math.pi))]
+        return gens[:int(rng.integers(1, 3))]
+    q = rot3(rng.normal(size=3), rng.uniform(0.1, math.pi))
+    family = int(rng.integers(0, 4))
+    if family == 0:
+        gens = _POLYHEDRAL_GENS[["T", "Td", "Th", "O", "Oh", "I", "Ih"][int(rng.integers(0, 7))]]()
+    elif family == 1:  # Dm
+        gens = [rot3((0, 0, 1), 2 * math.pi / m), rot3((1, 0, 0), math.pi)]
+    elif family == 2:  # Cmh
+        gens = [rot3((0, 0, 1), 2 * math.pi / m), np.diag([1.0, 1.0, -1.0])]
+    else:  # S2m
+        gens = [np.diag([1.0, 1.0, -1.0]) @ rot3((0, 0, 1), math.pi / m)]
+    return [q @ g @ q.T for g in gens]
+
+
+class TestComposedTable:
+    """The closure's table comes from integer composition; these check it against the floats."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_table_entries_are_float_products(self, seed, dim):
+        group = close_group(random_generators(np.random.default_rng(seed), dim))
+        mats = group.matrices()
+        products = mats[:, None] @ mats[None]
+        assert np.abs(products - mats[group.table]).max() <= MATCH_TOL
+        assert np.array_equal(np.sort(group.table, axis=1), np.tile(np.arange(len(group)), (len(group), 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    def test_elements_are_pairwise_apart(self, seed, dim):
+        mats = close_group(random_generators(np.random.default_rng(seed), dim)).matrices()
+        gaps = np.abs(mats[:, None] - mats[None]).max(axis=(2, 3))
+        assert np.all(gaps[~np.eye(len(mats), dtype=bool)] > MATCH_TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 60), st.data())
+    def test_a_generator_beyond_the_bound_is_not_closed(self, m, data):
+        bound = data.draw(st.integers(1, m - 1))
+        others = data.draw(st.sampled_from([[], [mirror2(0.3)], [np.eye(2)]]))
+        with pytest.raises(NotClosedWithinBound) as info:
+            close_group(others + [rot2(2 * math.pi / m)], max_order=bound)
+        assert str(info.value) == f"closure exceeded {bound} elements"
+
+    @pytest.mark.parametrize("gens, bound", [([rot2(1.0)], 200), ([rot2(1.0)], 7), ([rot2(2 * math.pi / 7)], 6),
+                                             ([rot3((1, 2, 3), 2 * math.pi / 7), np.eye(3)], 6)])
+    def test_long_generators_are_not_closed(self, gens, bound):
+        with pytest.raises(NotClosedWithinBound) as info:
+            close_group(gens, max_order=bound)
+        assert str(info.value) == f"closure exceeded {bound} elements"
+
+    def test_a_product_off_its_table_entry_is_not_closed(self):
+        # Tilting one I generator by 1e-10 generates an infinite group. The walk
+        # still meets 60 elements within MATCH_TOL, but the table check finds a
+        # product off its entry; the row-by-row closure grows past the bound here.
+        q = rot3((1, 0, 0), 1e-10)
+        gens = _POLYHEDRAL_GENS["I"]()
+        with pytest.raises(NotClosedWithinBound, match="closure exceeded 200 elements"):
+            close_group([gens[0], q @ gens[1] @ q.T])
+        with pytest.raises(NotClosedWithinBound):
+            reference_closure([gens[0], q @ gens[1] @ q.T])
+
+    def test_generator_of_order_at_the_bound_closes(self):
+        assert len(close_group([rot2(2 * math.pi / 7)], max_order=7)) == 7
+
+
 def rotation_with_cosine(c):
     s = math.sqrt(1.0 - c * c)
     return np.array([[c, -s], [s, c]])

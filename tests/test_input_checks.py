@@ -30,6 +30,29 @@ class TestCliNumbers:
         assert code == 3
         assert json.loads(out) == {"error": f"{flag} must be a finite number >= 0, got {float(value)}"}
 
+    @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-geom"])
+    @pytest.mark.parametrize("value", ["-inf", "-1e-8", "-nan", "-1.5", "-3"])
+    def test_negative_tolerance_as_a_separate_word(self, capsys, flag, value):
+        code, out = run_cli(capsys, "analyze", "--fixture", "k33_phi_a", flag, value)
+        assert code == 3
+        assert json.loads(out) == {"error": f"{flag} must be a finite number >= 0, got {float(value)}"}
+
+    def test_separate_negative_words_on_both_flags(self, capsys):
+        code, out = run_cli(capsys, "basis", "--fixture", "k33_phi_a", "--tol-rank", "1e-8", "--tol-geom", "-inf")
+        assert code == 3
+        assert json.loads(out) == {"error": "--tol-geom must be a finite number >= 0, got -inf"}
+
+    @pytest.mark.parametrize("flag, name", [("--tol-g", "--tol-geom"), ("--tol-r", "--tol-rank")])
+    def test_abbreviated_flag_with_a_separate_negative_word(self, capsys, flag, name):
+        code, out = run_cli(capsys, "analyze", "--fixture", "k33_phi_a", flag, "-1e-8")
+        assert code == 3
+        assert json.loads(out) == {"error": f"{name} must be a finite number >= 0, got -1e-08"}
+
+    def test_option_after_a_tolerance_flag_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--fixture", "k33_phi_a", "--tol-rank", "--seed", "1"])
+        assert info.value.code == 2
+
     @pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
     def test_every_subcommand_checks_its_numbers(self, capsys, command):
         for flag, value in (("--tol-rank", "nan"), ("--tol-geom", "inf"), ("--seed", "-1")):
