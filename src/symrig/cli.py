@@ -97,7 +97,8 @@ def _json_text(payload) -> str:
     indent forces json onto its pure-Python encoder, which is slow on long
     coordinate lists. This writes the same text: dicts with string keys and
     lists are laid out here, lists of finite floats joined through
-    float.__repr__, and everything else goes through json.dumps.
+    float.__repr__, strings, ints, bools and None through json's C encoder,
+    and everything else through json.dumps with those arguments.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -124,6 +125,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out.append("," + inner if i else inner)
             _write_json(item, inner, out)
         out.append(newline + "]")
+    elif value is None or type(value) in (str, int, bool):
+        out.append(json.dumps(value))  # a scalar prints the same without a new indenting encoder
     else:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 

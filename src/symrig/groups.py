@@ -149,7 +149,8 @@ class SymmetryGroup:
 
     table[i, j] indexes the product of elements i and j, or is -1 if it is missing.
     The closure hands in the table it filled (_table); otherwise each row is
-    matched against the elements here.
+    matched against the elements here. A caller that holds the elements'
+    matrices as one read-only stack hands it in (_matrices) to be kept as is.
     """
 
     dim: int
@@ -158,8 +159,9 @@ class SymmetryGroup:
     table: np.ndarray = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
     _table: InitVar[np.ndarray | None] = None
+    _matrices: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _table: np.ndarray | None) -> None:
+    def __post_init__(self, _table: np.ndarray | None, _matrices: np.ndarray | None) -> None:
         if not self.elements:
             raise InvalidGroup("a group needs at least the identity element")
         shapes = {op.matrix.shape for op in self.elements}
@@ -167,7 +169,7 @@ class SymmetryGroup:
             raise DimensionMismatch(f"elements of shapes {sorted(shapes)} in a group acting in {self.dim}d")
         if not self.elements[0].is_identity():
             raise InvalidGroup("element 0 must be the identity")
-        stack = np.stack([op.matrix for op in self.elements])
+        stack = np.stack([op.matrix for op in self.elements]) if _matrices is None else _matrices
         table = np.stack([_match(m @ stack, stack) for m in stack]) if _table is None else _table
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -341,11 +343,15 @@ def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
     return [label(i) for i in range(len(raw))]
 
 
-def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None,
-          table: np.ndarray | None = None) -> SymmetryGroup:
-    """A group checked, snapped and labelled in one pass over its stack; labels read the matrices as given."""
+def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None) -> SymmetryGroup:
+    """A group from a list of matrices, checked and snapped in one pass; labels read the matrices as given."""
     raw = np.array(mats, dtype=float)
-    stack = _orthogonal(raw)
+    return _group(_orthogonal(raw), raw, dim, name, overrides)
+
+
+def _group(stack: np.ndarray, raw: np.ndarray, dim: int, name: str, overrides: dict[int, str] | None = None,
+           table: np.ndarray | None = None) -> SymmetryGroup:
+    """A labelled group on a read-only stack that _orthogonal has checked and snapped, or the closure built."""
     overrides = overrides or {}
     base = [overrides.get(i) or b for i, b in enumerate(_base_labels(raw, dim))]
     counts, seen, labels = Counter(base), Counter(), []
@@ -353,7 +359,7 @@ def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None,
         seen[b] += 1
         labels.append(b if counts[b] == 1 else f"{b}#{seen[b]}")
     ops = tuple(OrthogonalOp._checked(m, lab) for m, lab in zip(stack, labels))
-    return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table)
+    return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table, _matrices=stack)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +472,9 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
         block -= np.take(columns, table[rows], axis=1).reshape(block.shape)
         if np.abs(block, out=block).max() > MATCH_TOL:
             raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
-    return _wrap(bits, dim, name, table=table)
+    # bits are snapped products of checked generators, so they go to the group unchecked.
+    bits.setflags(write=False)
+    return _group(bits, bits, dim, name, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ run in process with the `symrig` under `src/` of the tree this file lives in:
   large_3d workloads at seed 7 (129 outputs);
 - `analyze` and `sample --count 20` at seeds 1 to 5 on every generated
   cycle_cm, high_symmetry and large_3d problem, and on every fixture with
-  `--tol-geom 0.2`.
+  `--tol-geom 0.2` (383 outputs up to here);
+- `basis` and `empty-check` on every problem the cycle_cm, high_symmetry
+  and large_3d generators build at workload seeds 1 to 5 (140 outputs), so
+  the class-space basis of every generated class is printed somewhere.
 
 Run it in both trees and `diff` the two files: no output means every
 command printed the same bytes with the same exit code. The benchmark's
@@ -50,6 +53,7 @@ WORKLOAD_SEED = 7
 GENERATED = ("cycle_cm", "high_symmetry", "large_3d")
 SAMPLED = (("analyze",), ("sample", "--count", "20"))
 SEEDS = range(1, 6)
+CLASS_SPACE = (("basis",), ("empty-check",))
 
 
 def _load(path: Path, name: str):
@@ -113,6 +117,15 @@ def commands(workdir: Path) -> list[tuple[list[str], list[str]]]:
         for command in SAMPLED:
             argv = [*command, "--fixture", fixture, "--tol-geom", "0.2"]
             out.append((argv, argv))
+
+    for seed in SEEDS:
+        for name in GENERATED:
+            for prob in workloads.build(name, seed).problems:
+                path = workdir / f"seed{seed}-{prob.name}.json"
+                path.write_text(json.dumps(prob.data), encoding="utf-8")
+                for command in CLASS_SPACE:
+                    out.append(([*command, "--problem", str(path)],
+                                [f"{name} seed {seed}", *command, "--problem", prob.name]))
     return out
 
 
