@@ -24,6 +24,7 @@ from math import prod
 
 import numpy as np
 
+from ._numeric import chunks
 from .errors import (
     DimensionMismatch,
     ExplosionGuard,
@@ -114,9 +115,8 @@ def _read_images(graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: fl
     p = _check_shapes(graph, coords, group)
     if len(short_bars(graph, p, tol)):
         return None
-    # at most about 2^18 joint pairs per pass, so large n stays small in memory
-    parts = np.array_split(group.matrices(), -(-len(group) * graph.n ** 2 // 2**18))
-    matches = np.concatenate([joint_matches(p @ np.swapaxes(part, 1, 2), p, tol) for part in parts])
+    matches = np.concatenate([joint_matches(p @ np.swapaxes(group.matrices()[rows], 1, 2), p, tol)
+                              for rows in chunks(len(group), graph.n ** 2 * group.dim)])
     single = (matches.sum(axis=2) == 1).all(axis=1)
     images = matches.argmax(axis=2)
     read = single & (np.sort(images, axis=1) == np.arange(graph.n)).all(axis=1)

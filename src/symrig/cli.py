@@ -38,12 +38,6 @@ from .symspace import (
 from .svg import render_svg
 
 
-def _load(args) -> ProblemFile:
-    if args.fixture:
-        return load_fixture(args.fixture)
-    return load_problem(args.problem)
-
-
 def _check_numbers(args) -> None:
     """Reject a tolerance that is not a finite number >= 0, and a negative seed."""
     for flag, value in (("--tol-rank", args.tol_rank), ("--tol-geom", args.tol_geom)):
@@ -86,11 +80,6 @@ def _framework(problem: ProblemFile, phi: TypeAssignment, args) -> Framework:
     return sample_config(basis, seed=_seed(args, problem), framework_tol=args.tol_geom)
 
 
-def _coord_dict(framework: Framework) -> dict:
-    return {framework.graph.labels[i]: [float(c) for c in row]
-            for i, row in enumerate(framework.coords)}
-
-
 def _json_text(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, without json's Python encoder.
 
@@ -131,8 +120,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-def cmd_analyze(args) -> str:
-    problem = _load(args)
+def cmd_analyze(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     report = sym_generic_verdict(
         problem.graph, problem.group, phi,
@@ -165,8 +153,7 @@ def cmd_analyze(args) -> str:
     return _json_text(payload)
 
 
-def cmd_sample(args) -> str:
-    problem = _load(args)
+def cmd_sample(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
     samples = draw_samples(basis, args.count, seed=_seed(args, problem), framework_tol=args.tol_geom)
@@ -174,7 +161,7 @@ def cmd_sample(args) -> str:
     rows = []
     for f, verdict in zip(samples, verdicts):
         rows.append({
-            "coords": _coord_dict(f),
+            "coords": dict(zip(problem.graph.labels, f.coords.tolist())),
             "rank": verdict.rank,
             "infinitesimally_rigid": verdict.infinitesimally_rigid,
             "independent": verdict.independent,
@@ -183,8 +170,7 @@ def cmd_sample(args) -> str:
     return _json_text({"name": problem.name, "k": basis.k, "samples": rows})
 
 
-def cmd_types(args) -> str:
-    problem = _load(args)
+def cmd_types(problem: ProblemFile, args) -> str:
     _need_coords(problem)
     catalog, types = enumerate_types(
         problem.graph, problem.coords, problem.group,
@@ -205,20 +191,18 @@ def cmd_types(args) -> str:
     return _json_text(payload)
 
 
-def cmd_basis(args) -> str:
-    problem = _load(args)
+def cmd_basis(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
     return _json_text({
         "name": problem.name,
         "k": basis.k,
         "max_residual": constraint_residual(basis, problem.group, phi, basis.basis),
-        "vectors": [[float(c) for c in row] for row in basis.basis],
+        "vectors": basis.basis.tolist(),
     })
 
 
-def cmd_empty_check(args) -> str:
-    problem = _load(args)
+def cmd_empty_check(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
     empty, offending = class_is_empty(problem.graph, basis)
@@ -231,15 +215,13 @@ def cmd_empty_check(args) -> str:
     })
 
 
-def cmd_svg(args) -> str:
-    problem = _load(args)
+def cmd_svg(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     framework = _framework(problem, phi, args)
     return render_svg(framework, problem.group, label_joints=args.labels)
 
 
-def cmd_oracle_types(args) -> str:
-    problem = _load(args)
+def cmd_oracle_types(problem: ProblemFile, args) -> str:
     _need_coords(problem)
     brute = brute_force_type_search(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
     _, fast = enumerate_types(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
@@ -256,8 +238,7 @@ def cmd_oracle_types(args) -> str:
     })
 
 
-def cmd_oracle_generic(args) -> str:
-    problem = _load(args)
+def cmd_oracle_generic(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     framework = _framework(problem, phi, args)
     report = exhaustive_generic_check(
@@ -359,7 +340,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_numbers(args)
-        text = args.func(args)
+        problem = load_fixture(args.fixture) if args.fixture else load_problem(args.problem)
+        text = args.func(problem, args)
     except SymrigError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 3

@@ -493,17 +493,29 @@ _POLYHEDRAL_GENS = {
     "Ih": lambda: _POLYHEDRAL_GENS["I"]() + [-np.eye(3)],
 }
 
-_LITERALS_3D = {"C1", "Cs", "Ci", "T", "Td", "Th", "O", "Oh", "I", "Ih"}
+# Per dimension and family: (fixed, per_m, params). The group has fixed + per_m * m
+# elements, and params names the orientation parameters the family takes. A family
+# with per_m 0 is a literal name; the others are written with their order (C3v) or
+# as a template (Cmv, m=3).
+_FAMILIES = {
+    2: {"C1": (1, 0, ()), "Cs": (2, 0, ("mirror_angle",)), "C": (0, 1, ()), "Cv": (0, 2, ("mirror_angle",))},
+    3: {"C1": (1, 0, ()), "Cs": (2, 0, ("mirror_normal",)), "Ci": (2, 0, ()),
+        "T": (12, 0, ()), "Td": (24, 0, ()), "Th": (24, 0, ()), "O": (24, 0, ()), "Oh": (48, 0, ()),
+        "I": (60, 0, ()), "Ih": (120, 0, ()),
+        "C": (0, 1, ("axis",)), "Cv": (0, 2, ("axis", "secondary_axis", "mirror_angle")),
+        "Ch": (0, 2, ("axis",)), "D": (0, 2, ("axis", "secondary_axis")), "Dh": (0, 4, ("axis", "secondary_axis")),
+        "Dd": (0, 4, ("axis", "secondary_axis", "mirror_angle")), "S": (0, 1, ("axis",))},
+}
 _TEMPLATES = {"Cm": "C", "Cmv": "Cv", "Cmh": "Ch", "Dm": "D", "Dmh": "Dh", "Dmd": "Dd", "S2m": "S"}
 _NUMERIC_RE = re.compile(r"^([CDS])(\d+)(v|h|d)?$")
 
 
 def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
-    """Resolve a Schoenflies name to (family, m). family uses C/Cv/Ch/D/Dh/Dd/S codes."""
-    if dim not in (2, 3):
+    """Resolve a Schoenflies name to (family, m), family a key of _FAMILIES[dim]; m is 0 for a literal."""
+    if dim not in _FAMILIES:
         raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {dim}")
-    literals = {"C1", "Cs"} if dim == 2 else _LITERALS_3D
-    if name in literals:
+    families = _FAMILIES[dim]
+    if name in families and not families[name][1]:
         return (name, 0)
     if name in _TEMPLATES:
         if m is None:
@@ -519,8 +531,7 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
         order = int(match.group(2))
         if m is not None and m != order:
             raise BadParam(f"parameter m={m} contradicts name {name!r}")
-    allowed = {"C", "Cv"} if dim == 2 else {"C", "Cv", "Ch", "D", "Dh", "Dd", "S"}
-    if family not in allowed:
+    if family not in families:
         raise UnknownName(f"unknown Schoenflies name {name!r} in dimension {dim}")
     if family == "S":
         if order < 4 or order % 2 != 0:
@@ -528,12 +539,6 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
     elif order < 2:
         raise BadParam(f"{name!r} needs m >= 2 (use C1 or Cs for the trivial cases)")
     return (family, order)
-
-
-def _family_size(family: str, m: int) -> int:
-    return {"C1": 1, "Cs": 2, "Ci": 2, "T": 12, "Td": 24, "Th": 24, "O": 24, "Oh": 48,
-            "I": 60, "Ih": 120, "C": m, "Cv": 2 * m, "Ch": 2 * m, "D": 2 * m,
-            "Dh": 4 * m, "Dd": 4 * m, "S": m}[family]
 
 
 def _frame(axis, secondary) -> np.ndarray:
@@ -569,33 +574,28 @@ def schoenflies_group(
     """Build a catalog point group by Schoenflies name.
 
     Names embed the rotation order ("C3v") or use template form ("Cmv"
-    with m=3). See the module docstring for orientation conventions and
-    which parameters each family accepts.
+    with m=3). See the module docstring for orientation conventions;
+    _FAMILIES lists the order of each family and the parameters it takes.
     """
     family, order = _parse_name(name, dim, m)
-    size = _family_size(family, order)
+    fixed, per_m, takes = _FAMILIES[dim][family]
+    size = fixed + per_m * order
     if size > MAX_GROUP_ORDER:
         raise BadParam(f"group order {size} exceeds the bound {MAX_GROUP_ORDER}")
-    display = name
-    if name in _TEMPLATES:
-        display = {"C": f"C{order}", "Cv": f"C{order}v", "Ch": f"C{order}h", "D": f"D{order}",
-                   "Dh": f"D{order}h", "Dd": f"D{order}d", "S": f"S{order}"}[_TEMPLATES[name]]
-
-    def reject(params: dict) -> None:
-        given = [k for k, v in params.items() if v is not None]
-        if given:
-            raise BadParam(f"parameters {given} do not apply to {display} in dimension {dim}")
+    display = family[0] + str(order) + family[1:] if name in _TEMPLATES else name
+    given = {"mirror_angle": mirror_angle, "axis": axis, "secondary_axis": secondary_axis,
+             "mirror_normal": mirror_normal}
+    extra = [key for key, value in given.items() if value is not None and key not in takes]
+    if extra:
+        raise BadParam(f"parameters {extra} do not apply to {display} in dimension {dim}")
 
     if dim == 2:
-        reject({"axis": axis, "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
         theta = 0.0 if mirror_angle is None else float(mirror_angle)
         if family == "C1":
-            reject({"mirror_angle": mirror_angle})
             return _wrap([np.eye(2)], 2, display)
         if family == "Cs":
             return _wrap([np.eye(2), mirror2(theta)], 2, display, overrides={1: "s"})
         if family == "C":
-            reject({"mirror_angle": mirror_angle})
             return _wrap([rot2(2.0 * pi * k / order) for k in range(order)], 2, display)
         # Cv: rotations then mirrors, mirror lines spaced pi/m starting at theta
         mats = [rot2(2.0 * pi * k / order) for k in range(order)]
@@ -604,27 +604,14 @@ def schoenflies_group(
 
     # dim == 3
     if family in _POLYHEDRAL_GENS:
-        reject({"mirror_angle": mirror_angle, "axis": axis,
-                "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
         return close_group(_POLYHEDRAL_GENS[family](), name=display)
     if family == "C1":
-        reject({"mirror_angle": mirror_angle, "axis": axis,
-                "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
         return _wrap([np.eye(3)], 3, display)
     if family == "Cs":
-        reject({"mirror_angle": mirror_angle, "axis": axis, "secondary_axis": secondary_axis})
         normal = (0.0, 1.0, 0.0) if mirror_normal is None else mirror_normal
         return _wrap([np.eye(3), mirror3(normal)], 3, display, overrides={1: "s"})
     if family == "Ci":
-        reject({"mirror_angle": mirror_angle, "axis": axis,
-                "secondary_axis": secondary_axis, "mirror_normal": mirror_normal})
         return _wrap([np.eye(3), -np.eye(3)], 3, display)
-
-    reject({"mirror_normal": mirror_normal})
-    if family in ("C", "Ch", "S") and secondary_axis is not None:
-        raise BadParam(f"secondary_axis does not apply to {display}")
-    if family in ("C", "Ch", "D", "Dh", "S") and mirror_angle is not None:
-        raise BadParam(f"mirror_angle does not apply to {display}")
 
     ez = np.array([0.0, 0.0, 1.0])
     sh = np.diag([1.0, 1.0, -1.0])

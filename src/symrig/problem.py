@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -23,6 +24,8 @@ TOP_FIELDS = {"name", "description", "dim", "vertices", "edges", "group", "type"
 GROUP_FIELDS = {"schoenflies", "params", "generators"}
 PARAM_FIELDS = {"m", "mirror_angle_deg", "axis", "secondary_axis", "mirror_normal"}
 TYPE_MODES = ("auto", "enumerate")
+# Cycle notation splits vertex names at whitespace and commas and reads parentheses as cycles.
+NAME_BREAK = re.compile(r"[\s,()]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +150,8 @@ def parse_problem(data: dict) -> ProblemFile:
             and all(isinstance(v, str) for v in vertices),
             "'vertices' must be a non-empty list of strings")
     _expect(len(set(vertices)) == len(vertices), "'vertices' must be distinct")
+    bad = next((v for v in vertices if not v or NAME_BREAK.search(v)), None)
+    _expect(bad is None, f"vertex name {bad!r} must be non-empty, without whitespace, ',', '(' or ')'")
     labels = tuple(vertices)
     index = {v: i for i, v in enumerate(labels)}
 
@@ -217,8 +222,7 @@ def serialize_problem(problem: ProblemFile) -> dict:
     else:
         out["type"] = problem.type_mode
     if problem.coords is not None:
-        out["coords"] = {problem.graph.labels[i]: [float(c) for c in row]
-                         for i, row in enumerate(problem.coords)}
+        out["coords"] = dict(zip(problem.graph.labels, problem.coords.tolist()))
     out["seed"] = problem.seed
     return out
 

@@ -36,7 +36,7 @@ most _numeric.STACK_CELLS matrix cells. rigidity_verdict is the stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, lcm, sqrt
 from typing import NamedTuple
 
@@ -117,16 +117,7 @@ class RigidityReport:
     isostatic: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "bar_count": self.bar_count,
-            "dof_count": self.dof_count,
-            "affine_span_dim": self.affine_span_dim,
-            "trivial_dim": self.trivial_dim,
-            "infinitesimally_rigid": self.infinitesimally_rigid,
-            "independent": self.independent,
-            "isostatic": self.isostatic,
-        }
+        return asdict(self)
 
 
 def _matrices(graph: Graph, p: np.ndarray) -> np.ndarray:

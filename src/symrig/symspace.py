@@ -232,13 +232,11 @@ class SymGenericReport:
     isostatic: bool
     witness: np.ndarray | None
 
-    def to_dict(self, labels: tuple[str, ...] | None = None) -> dict:
+    def to_dict(self, labels: tuple[str, ...]) -> dict:
         out = {
             "k": self.k,
             "empty": self.empty,
-            "offending_edges": [
-                [labels[u], labels[v]] if labels else [u, v] for u, v in self.offending_edges
-            ],
+            "offending_edges": [[labels[u], labels[v]] for u, v in self.offending_edges],
             "samples_drawn": self.samples_drawn,
             "max_rank": self.max_rank,
             "infinitesimally_rigid": self.infinitesimally_rigid,
@@ -247,10 +245,7 @@ class SymGenericReport:
             "note": "positive verdicts carry a sampled witness; negative verdicts are probabilistic",
         }
         if self.witness is not None:
-            if labels:
-                out["witness"] = {labels[i]: [float(c) for c in row] for i, row in enumerate(self.witness)}
-            else:
-                out["witness"] = [[float(c) for c in row] for row in self.witness]
+            out["witness"] = dict(zip(labels, self.witness.tolist()))
         return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,31 @@ class TestParseRejections:
         data["vertices"] = ["v1", "v1"]
         with pytest.raises(ParseError):
             parse_problem(data)
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "b\n", "a\u00a0b", "a,b", "(a", "a)", "()"])
+    def test_vertex_names_that_cycle_notation_cannot_carry(self, name):
+        data = base_problem()
+        data["vertices"] = [name, "c"]
+        data["edges"] = [[name, "c"]]
+        data["type"] = "auto"
+        data["coords"] = {name: [1.0, 0.5], "c": [-1.0, -0.5]}
+        with pytest.raises(ParseError, match=re.escape(f"vertex name {name!r}")):
+            parse_problem(data)
+
+    def test_types_output_reads_back_as_an_explicit_type(self, tmp_path, capsys):
+        data = base_problem()
+        data["vertices"] = ["a.b", "c"]
+        data["edges"] = [["a.b", "c"]]
+        data["type"] = "auto"
+        data["coords"] = {"a.b": [1.0, 0.5], "c": [-1.0, -0.5]}
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, "types", "--problem", str(path))
+        assert code == 0
+        data["type"] = json.loads(out)["types"][0]
+        assert data["type"]["C2"] == "(a.b c)"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run_cli(capsys, "basis", "--problem", str(path))[0] == 0
 
     def test_unknown_edge_endpoint(self):
         data = base_problem()
