@@ -516,11 +516,15 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
         raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {dim}")
     families = _FAMILIES[dim]
     if name in families and not families[name][1]:
+        if m is not None:
+            raise BadParam(f"{name} takes no parameter m")
         return (name, 0)
     if name in _TEMPLATES:
         if m is None:
             raise BadParam(f"{name} requires the parameter m")
-        family, order = _TEMPLATES[name], int(m)
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise BadParam(f"{name} needs an integer m, got {m!r}")
+        family, order = _TEMPLATES[name], m
         if name == "S2m":
             order = 2 * order
     else:

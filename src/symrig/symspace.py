@@ -19,15 +19,18 @@ with fewer than PHASE_MIN_COLUMNS columns keep one SVD of R, which is
 faster there.
 
 A class is sampled in stacks: the trials' coefficient vectors are rows of
-one uniform draw, their configurations one stacked product with the basis,
-and rigidity.rigidity_verdicts ranks them together. A stack holds as many
-members as fit _numeric.STACK_CELLS cells of bar differences. Every row is
-computed exactly as a single draw would be, so a seed yields the same
-members and verdicts as drawing and deciding them one at a time.
+one batch of uniform draws, their configurations one stacked product with
+the basis, and rigidity.rigidity_verdicts ranks them together. A stack holds
+as many members as fit _numeric.STACK_CELLS cells of bar differences. Every
+row is computed exactly as a single draw would be, so a seed yields the same
+members and verdicts as drawing and deciding them one at a time. The draws
+come from the standard library's random.Random: since any seeded generator
+gives generic members, the one that costs no import of numpy.random is used.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,17 +165,25 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tu
     return (len(offending) > 0, offending)
 
 
-def _draws(basis: ConfigSpaceBasis, rng: np.random.Generator, count: int, framework_tol: float):
+def _rng(seed: int) -> random.Random:
+    """The generator of a seed. Random would take -5 for 5 and accept a float, so only ints >= 0 pass."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise BadParam(f"seed must be an integer >= 0, got {seed!r}")
+    return random.Random(seed)
+
+
+def _draws(basis: ConfigSpaceBasis, rng: random.Random, count: int, framework_tol: float):
     """count members of the class, rescaled to the unit box, as chunks coordinates[b, n, d].
 
     The coefficient vectors are consecutive rows of one stream of uniform
-    draws on [-1, 1]^k. A row is rejected when its configuration vanishes
-    or collapses a bar; the next row takes its place. DRAW_RETRIES
-    consecutive rejections give up. A chunk's bar differences fill at most
-    STACK_CELLS cells. No batch reaches past the row at which a chunk is
-    complete or the draws give up, so the stream is left where drawing one
-    row at a time leaves it, and a chunk ends on an accepted row, where the
-    retry count starts again.
+    draws on [-1, 1]^k: each weight is -1 + 2 u for the next u = rng.random(),
+    Random.uniform(-1, 1)'s formula, laid out row-major. A row is rejected
+    when its configuration vanishes or collapses a bar; the next row takes
+    its place. DRAW_RETRIES consecutive rejections give up. A chunk's bar
+    differences fill at most STACK_CELLS cells. No batch reaches past the
+    row at which a chunk is complete or the draws give up, so the stream is
+    left where drawing one row at a time leaves it, and a chunk ends on an
+    accepted row, where the retry count starts again.
     """
     g, d = basis.graph, basis.dim
     if basis.k == 0 and len(short_bars(g, np.zeros((g.n, d)), framework_tol)):
@@ -184,7 +195,9 @@ def _draws(basis: ConfigSpaceBasis, rng: np.random.Generator, count: int, framew
             continue
         accepted, rejected = [], 0
         while len(accepted) < size:
-            weights = rng.uniform(-1.0, 1.0, (min(size - len(accepted), DRAW_RETRIES - rejected), basis.k))
+            rows = min(size - len(accepted), DRAW_RETRIES - rejected)
+            u = np.array([rng.random() for _ in range(rows * basis.k)])
+            weights = (-1.0 + 2.0 * u).reshape(rows, basis.k)
             # Row by row, as weights[i] @ basis: one gemm would round differently.
             coords = np.matmul(weights[:, None, :], basis.basis)[:, 0].reshape(len(weights), g.n, d)
             peak = np.max(np.abs(coords), axis=(1, 2))
@@ -210,10 +223,10 @@ def sample_config(basis: ConfigSpaceBasis, seed: int = 0, framework_tol: float =
 
 
 def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_tol: float = 1e-8) -> list[Framework]:
-    """count frameworks from one seeded stream (deterministic for a seed)."""
+    """count frameworks from the stream of random.Random(seed), deterministic for a seed (an int >= 0)."""
     if count < 1:
         raise BadParam(f"count must be at least 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return [Framework(basis.graph, coords) for chunk in _draws(basis, rng, count, framework_tol) for coords in chunk]
 
 
@@ -275,6 +288,7 @@ def sym_generic_verdict(
     """
     if trials < 1:
         raise BadParam(f"trials must be at least 1, got {trials}")
+    rng = _rng(seed)
     basis = config_space_basis(graph, group, phi)
     empty, offending = class_is_empty(graph, basis)
     if empty:
@@ -285,7 +299,7 @@ def sym_generic_verdict(
         )
     ranks = []
     best = witness = None
-    for coords in _draws(basis, np.random.default_rng(seed), trials, framework_tol):
+    for coords in _draws(basis, rng, trials, framework_tol):
         for report, p in zip(rigidity_verdicts(graph, coords, rank_rtol, basis.phases), coords):
             ranks.append(report.rank)
             if best is None or report.rank > best.rank:

@@ -1,0 +1,47 @@
+"""Sampling commands run in a fresh interpreter, as the command line runs them.
+
+The CLI starts one interpreter per command, so what a command imports is
+paid on every call: drawing class members must not load numpy.random. And
+stdout for a seed must not depend on the interpreter's string-hash seed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import symrig
+
+SRC = str(Path(symrig.__file__).resolve().parent.parent)
+
+
+def _run(script: str, hash_seed: str = "0") -> str:
+    """stdout of script in a new interpreter that imports symrig from this tree."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_sampling_commands_leave_numpy_random_unloaded():
+    script = """
+import contextlib, io, sys
+from symrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--fixture", "k33_phi_a"]) == 0
+    assert main(["sample", "--count", "3", "--fixture", "k33_phi_a"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+    assert _run(script).strip() == "[]"
+
+
+def test_stdout_does_not_depend_on_the_hash_seed():
+    script = """
+from symrig.cli import main
+for fixture in ("k33_phi_a", "gt_c2", "k4_upsilon_a"):
+    main(["analyze", "--fixture", fixture, "--seed", "9"])
+    main(["sample", "--count", "4", "--fixture", fixture, "--seed", "9"])
+"""
+    first, second = _run(script, "1"), _run(script, "2718")
+    assert first.count('"witness"') == 3 and first.count('"samples"') == 3
+    assert first == second

@@ -181,6 +181,18 @@ class TestNameParsing:
         with pytest.raises(BadParam):
             schoenflies_group("Cmv", 2)
 
+    @pytest.mark.parametrize("name, dim", [("Ih", 3), ("T", 3), ("C1", 2), ("Cs", 3)])
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_literal_names_take_no_m(self, name, dim, m):
+        with pytest.raises(BadParam, match="takes no parameter m"):
+            schoenflies_group(name, dim, m=m)
+
+    @pytest.mark.parametrize("m", [2.7, 3.0, True, "3"])
+    def test_template_m_must_be_an_integer(self, m):
+        # int(2.7) would have built C2
+        with pytest.raises(BadParam, match="needs an integer m"):
+            schoenflies_group("Cm", 2, m=m)
+
     def test_m_too_small(self):
         with pytest.raises(BadParam):
             schoenflies_group("C1v", 2)

@@ -1,4 +1,8 @@
-"""Module layering, read from the sources: the slow references live in oracle, and only cli uses it."""
+"""Module layering, read from the sources: the slow references live in oracle, and only cli uses it.
+
+Only oracle draws from numpy's generator: the command path samples with random.Random,
+so that no command pays for importing numpy.random.
+"""
 
 import ast
 from pathlib import Path
@@ -28,6 +32,22 @@ def _imported_modules(path: Path) -> set[str]:
     return found
 
 
+def _uses_numpy_random(path: Path) -> bool:
+    """Whether a source file names np.random or numpy.random, by attribute or by import."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy"):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.startswith("numpy.random") or (module == "numpy" and any(a.name == "random" for a in node.names)):
+                return True
+    return False
+
+
 def test_the_parser_sees_oracle_imports():
     assert "oracle" in _imported_modules(Path(symrig.__file__).parent / "cli.py")
     assert "oracle" in _imported_modules(Path(symrig.__file__))
@@ -36,6 +56,19 @@ def test_the_parser_sees_oracle_imports():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("cli.py", "__init__.py")], ids=lambda p: p.name)
 def test_only_cli_and_the_package_import_oracle(path):
     assert "oracle" not in _imported_modules(path)
+
+
+def test_the_parser_sees_numpy_random(tmp_path):
+    assert _uses_numpy_random(Path(oracle.__file__))
+    for line in ("import numpy.random", "from numpy import random", "from numpy.random import default_rng",
+                 "x = numpy.random.default_rng"):
+        (tmp_path / "m.py").write_text(line + "\n", encoding="utf-8")
+        assert _uses_numpy_random(tmp_path / "m.py"), line
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "oracle.py"], ids=lambda p: p.name)
+def test_only_oracle_uses_numpy_random(path):
+    assert not _uses_numpy_random(path)
 
 
 @pytest.mark.parametrize("name", symrig.__all__)

@@ -282,6 +282,14 @@ class TestParseRejections:
         with pytest.raises(ParseError, match=f"'{field}' must be"):
             parse_problem(data)
 
+    def test_literal_group_given_m(self, tmp_path, capsys):
+        data = {"dim": 3, "vertices": ["v1"], "edges": [], "group": {"schoenflies": "T", "params": {"m": 7}}}
+        path = tmp_path / "t_with_m.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, "analyze", "--problem", str(path))
+        assert code == 3
+        assert json.loads(out) == {"error": "T takes no parameter m"}
+
     @pytest.mark.parametrize(
         "generator",
         [

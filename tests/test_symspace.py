@@ -238,6 +238,19 @@ class TestSampling:
         with pytest.raises(BadParam):
             draw_samples(basis, count)
 
+    @pytest.mark.parametrize("seed", [-5, -1, 5.0, 2.7, True, None, "5"])
+    @pytest.mark.parametrize("draw", ["draw_samples", "sample_config", "sym_generic_verdict"])
+    def test_seed_must_be_an_int_at_least_zero(self, draw, seed):
+        # random.Random(-5) would replay Random(5), and Random(None) seeds from the system
+        graph, group, phi, basis = basis_for("k33_phi_a")
+        calls = {
+            "draw_samples": lambda: draw_samples(basis, 2, seed=seed),
+            "sample_config": lambda: sample_config(basis, seed=seed),
+            "sym_generic_verdict": lambda: sym_generic_verdict(graph, group, phi, trials=2, seed=seed),
+        }
+        with pytest.raises(BadParam, match="seed must be an integer >= 0"):
+            calls[draw]()
+
     def test_sample_config_is_the_first_draw_of_the_stream(self):
         _, _, _, basis = basis_for("k33_phi_a")
         assert np.array_equal(sample_config(basis, seed=11).coords, draw_samples(basis, 3, seed=11)[0].coords)
