@@ -514,6 +514,8 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
     """Resolve a Schoenflies name to (family, m), family a key of _FAMILIES[dim]; m is 0 for a literal."""
     if dim not in _FAMILIES:
         raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {dim}")
+    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
+        raise BadParam(f"{name} needs an integer m, got {m!r}")
     families = _FAMILIES[dim]
     if name in families and not families[name][1]:
         if m is not None:
@@ -522,8 +524,6 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
     if name in _TEMPLATES:
         if m is None:
             raise BadParam(f"{name} requires the parameter m")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise BadParam(f"{name} needs an integer m, got {m!r}")
         family, order = _TEMPLATES[name], m
         if name == "S2m":
             order = 2 * order

@@ -2,10 +2,10 @@
 
 Everything here trades speed for directness: full permutation scans
 instead of pruned search, exact integer elimination instead of SVD,
-minor-by-minor genericity checks instead of a single rank, the dense
-constraint stack and orbit propagation instead of symspace's orbit-block
-kernels, and a group validator that checks every invariant. Hard input
-caps keep the run times sane; exceeding a cap raises instead of silently
+minor-by-minor genericity checks instead of a single rank, the dense stack,
+orbit propagation and orbit-block kernels instead of symspace's stabiliser
+frames, and a group validator that checks every invariant. Hard input caps
+keep the run times sane; exceeding a cap raises instead of silently
 downgrading the check. Only cli's oracle subcommands and the tests use it.
 """
 
@@ -21,11 +21,11 @@ import numpy as np
 from ._numeric import kernel_basis
 from .classify import MAX_TYPE_PRODUCT, TypeAssignment, is_homomorphism
 from .errors import (BadParam, CapExceeded, ExplosionGuard, InconsistentPropagation, InvalidGroup, LengthMismatch,
-                     NotAHomomorphism, NotInSymmetryClass, NotRationalizable, SamplingExhausted)
-from .graphs import Graph, Permutation
+                     NotAHomomorphism, NotAnAutomorphism, NotInSymmetryClass, NotRationalizable, SamplingExhausted)
+from .graphs import Graph, Permutation, is_automorphism
 from .groups import MATCH_TOL, LinearSubspace, SymmetryGroup, _match
 from .rigidity import Framework, rigidity_matrix
-from .symspace import DRAW_RETRIES, _orbits, constraint_residual
+from .symspace import DRAW_RETRIES, ConfigSpaceBasis, constraint_residual
 
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
@@ -128,6 +128,46 @@ def constraint_stack(group: SymmetryGroup, images, n: int) -> np.ndarray:
         symmetry_constraint_matrix(group, images, x, n)
         for x in range(len(group)) if not (group.elements[x].is_identity() and images[x].is_identity())
     ])
+
+
+def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group the images generate, each sorted, ordered by least vertex."""
+    orbits, seen = [], set()
+    for v in range(n):
+        if v not in seen:
+            orbit = [v]
+            seen.add(v)
+            for w in orbit:
+                fresh = {perm.images[w] for perm in images} - seen
+                seen |= fresh
+                orbit.extend(fresh)
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def orbit_block_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> ConfigSpaceBasis:
+    """config_space_basis's reference: one kernel per orbit's block, the identity's rows only if its image is not."""
+    if len(phi) != len(group):
+        raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
+    d, n = group.dim, graph.n
+    mapped = is_automorphism(graph, phi.array)
+    if not mapped.all():
+        raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
+    first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
+    mats, images = group.matrices()[first:], phi.array[first:]
+    x, a = np.arange(len(mats))[:, None, None], np.arange(d)
+    rows = [np.zeros((0, n, d))]
+    for orbit in _orbits(n, phi.images):
+        m = len(orbit)
+        # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
+        block = np.zeros((len(mats), m, d, m, d))
+        i = np.arange(m)
+        block[:, i, :, i, :] = mats
+        block[x, i[:, None], a, np.searchsorted(orbit, images[:, orbit])[..., None], a] -= 1.0
+        kernel = kernel_basis(block.reshape(-1, m * d))
+        rows.append(np.zeros((len(kernel), n, d)))
+        rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
+    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=np.concatenate(rows).reshape(-1, d * n))
 
 
 @dataclass(frozen=True, eq=False)

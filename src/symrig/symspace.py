@@ -3,12 +3,13 @@
 A configuration p lies in the class of a type phi exactly when
 M_x p_v = p_{phi_x(v)} for every operation x and joint v. Each constraint
 couples a joint only with its own image, so the space U of such
-configurations is a direct sum over the orbits of the permutation group
-the images generate, and its basis is built one orbit at a time (oracle
-keeps the dense stack and orbit propagation as references). Almost
-every point of U realizes the maximal rank the class can attain, which
-makes one sampled witness a sound certificate for rigidity properties of
-the whole class; negative verdicts from sampling remain probabilistic.
+configurations is a direct sum over the joint orbits of the type. An
+orbit's part is the fixed space of its least joint's stabiliser, carried
+to the other joints by the operations that reach them (oracle keeps the
+dense stack, orbit propagation and orbit-block kernels). Almost every
+point of U realizes the maximal rank the class can attain, which makes
+one sampled witness a sound certificate for rigidity properties of the
+whole class; negative verdicts from sampling remain probabilistic.
 
 Because every member of a class satisfies M_g p_v = p_{phi_g(v)} for
 each operation g, its rigidity matrix intertwines g's action on joint
@@ -40,7 +41,7 @@ from . import _numeric
 from ._numeric import kernel_basis
 from .classify import TypeAssignment
 from .classify import is_homomorphism  # noqa: F401  bench/tracing.py wraps this name of symspace
-from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted
+from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted, UnknownName
 from .graphs import Graph, bar_vectors, is_automorphism, short_bars
 from .groups import SymmetryGroup
 from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdicts
@@ -53,22 +54,6 @@ from .rigidity import rigidity_verdict  # noqa: F401  bench/tracing.py wraps thi
 PHASE_MIN_COLUMNS = 64
 DRAW_RETRIES = 100  # draws per sample before giving up on a class whose bars keep collapsing
 FORCED_BAR_TOL = 1e-9  # a bar whose p_u - p_v is this small on every basis vector is forced to zero length
-
-
-def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group the images generate, each sorted, ordered by least vertex."""
-    orbits, seen = [], set()
-    for v in range(n):
-        if v in seen:
-            continue
-        orbit = [v]
-        seen.add(v)
-        for w in orbit:
-            fresh = {perm.images[w] for perm in images} - seen
-            seen |= fresh
-            orbit.extend(fresh)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,32 +91,46 @@ class ConfigSpaceBasis:
 
 
 def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> ConfigSpaceBasis:
-    """Orthonormal basis of the class space, one orbit at a time.
+    """Orthonormal basis of the class space: one stabiliser frame per joint orbit, carried to its joints.
 
-    An orbit's block is its constraints restricted to its own joints, its kernel taken at
-    kernel_basis's default rtol. The identity takes part only if its image is not.
+    Walking from each orbit's least joint v, a level at a time with every pair (M_x, phi_x) as a step, sets
+    t_{phi_x(w)} = x t_w, so p_w = M_{t_w} p_v; each Schreier element s = t_{phi_x(w)}^-1 x t_w must fix p_v.
+    A frame F of the kernel of the stacked M_s - I (one kernel_basis call per distinct set, I_d for a free
+    orbit) gives rows M_{t_w} F / sqrt(|O|), orbits by least joint. A table missing a product raises
+    UnknownName. Nothing is sorted: a process's first sort maps about 0.4 MB of numpy's sort code.
     """
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    d, n = group.dim, graph.n
+    d, n, order = group.dim, graph.n, len(group)
     mapped = is_automorphism(graph, phi.array)
     if not mapped.all():
         raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
-    first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
-    mats, images = group.matrices()[first:], phi.array[first:]
-    x, a = np.arange(len(mats))[:, None, None], np.arange(d)
-    rows = [np.zeros((0, n, d))]
-    for orbit in _orbits(n, phi.images):
-        m = len(orbit)
-        # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
-        block = np.zeros((len(mats), m, d, m, d))
-        i = np.arange(m)
-        block[:, i, :, i, :] = mats
-        block[x, i[:, None], a, np.searchsorted(orbit, images[:, orbit])[..., None], a] -= 1.0
-        kernel = kernel_basis(block.reshape(-1, m * d))
-        rows.append(np.zeros((len(kernel), n, d)))
-        rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
-    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=np.concatenate(rows).reshape(-1, d * n))
+    table, images, mats = group.table, phi.array, group.matrices()
+    if np.any(table < 0):
+        raise UnknownName(f"{group.name or 'group'} is not closed under products")
+    root, low = None, np.arange(n)  # each joint's least orbit-mate, once the minima settle
+    while not np.array_equal(root, low):
+        root, low = low, np.minimum(low, low[images].min(axis=0))
+    t, seen = np.zeros(n, int), root == np.arange(n)
+    front = heads = np.flatnonzero(seen)
+    while not seen.all():  # reach[x, phi_x(w)] = x t_w over the front; phi_x is a bijection, so no joint twice
+        reach = np.full((order, n), -1)
+        reach[np.arange(order)[:, None], images[:, front]] = np.where(seen[images[:, front]], -1, table[:, t[front]])
+        front = np.flatnonzero((reach >= 0).any(axis=0))
+        t[front], seen[front] = reach[np.argmax(reach[:, front] >= 0, axis=0), front], True
+    fixing = np.zeros((n, order), bool)  # fixing[v, s]: s is a Schreier element of the orbit of least joint v
+    fixing[root, table[np.argmax(table == 0, axis=1)[t[images]], table[:, t]]] = True
+    fixing[:, 0] = False  # the identity fixes every point
+    frames, counts, cache = np.zeros((n, d, d)), np.zeros(n, int), {bytes(order): np.eye(d)}
+    for v, key in zip(heads, map(np.ndarray.tobytes, fixing[heads])):
+        if key not in cache:
+            cache[key] = kernel_basis((mats[fixing[v]] - np.eye(d)).reshape(-1, d))
+        counts[v], frames[v, :len(cache[key])] = len(cache[key]), cache[key]
+    joint, j = np.nonzero(np.arange(d) < counts[root][:, None])
+    moved = mats[t[joint]] @ frames[root[joint], j][..., None] / np.sqrt(np.bincount(root)[root[joint], None, None])
+    basis = np.zeros((counts.sum(), n, d))
+    basis[(np.cumsum(counts) - counts)[root[joint]] + j, joint] = moved[..., 0]
+    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=basis.reshape(-1, d * n))
 
 
 def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignment, coords: np.ndarray) -> float:

@@ -1,8 +1,10 @@
 """Sampling commands run in a fresh interpreter, as the command line runs them.
 
 The CLI starts one interpreter per command, so what a command imports is
-paid on every call: drawing class members must not load numpy.random. And
-stdout for a seed must not depend on the interpreter's string-hash seed.
+paid on every call: drawing class members must not load numpy.random, and
+building a class space must not load numpy.ma (np.unique without
+return_index does, through np.ma.is_masked). And stdout for a seed must
+not depend on the interpreter's string-hash seed.
 """
 
 import os
@@ -31,6 +33,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["analyze", "--fixture", "k33_phi_a"]) == 0
     assert main(["sample", "--count", "3", "--fixture", "k33_phi_a"]) == 0
 print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+    assert _run(script).strip() == "[]"
+
+
+def test_class_space_commands_leave_numpy_ma_unloaded():
+    script = """
+import contextlib, io, sys
+from symrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for fixture in ("k33_phi_a", "c9_c3", "k4_upsilon_a"):
+        assert main(["basis", "--fixture", fixture]) == 0
+        assert main(["analyze", "--fixture", fixture]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
     assert _run(script).strip() == "[]"
 

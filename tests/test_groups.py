@@ -193,6 +193,13 @@ class TestNameParsing:
         with pytest.raises(BadParam, match="needs an integer m"):
             schoenflies_group("Cm", 2, m=m)
 
+    @pytest.mark.parametrize("name, dim", [("C3", 2), ("D4h", 3), ("S4", 3), ("T", 3), ("Cm", 2), ("X7", 3)])
+    @pytest.mark.parametrize("m", [3.0, 4.0, True, False])
+    def test_any_name_rejects_an_m_that_is_not_an_int(self, name, dim, m):
+        # C3 with m 3.0 matched the order the name gives and built C3
+        with pytest.raises(BadParam, match="needs an integer m"):
+            schoenflies_group(name, dim, m=m)
+
     def test_m_too_small(self):
         with pytest.raises(BadParam):
             schoenflies_group("C1v", 2)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symrig import _numeric, symspace
+from symrig import _numeric, oracle, symspace
 from symrig._numeric import block_rank
 from symrig.classify import find_base_type
 from symrig.cli import main
@@ -238,11 +238,11 @@ def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name, monkeypatch):
 
 
 def einsum_blocks(graph, group, phi):
-    """The orbit blocks as two einsum products, as the builder made them before."""
+    """The orbit blocks as two einsum products, as the reference builder made them before."""
     d = group.dim
     first = 1 if phi[0].is_identity() else 0
     mats, images = group.matrices()[first:], phi.array[first:]
-    for orbit in symspace._orbits(graph.n, phi.images):
+    for orbit in oracle._orbits(graph.n, phi.images):
         m = len(orbit)
         perm = np.eye(m)[np.searchsorted(orbit, images[:, orbit])]
         block = np.einsum("ij,xab->xiajb", np.eye(m), mats) - np.einsum("xij,ab->xiajb", perm, np.eye(d))
@@ -251,9 +251,9 @@ def einsum_blocks(graph, group, phi):
 
 def built_blocks(graph, group, phi, monkeypatch):
     seen = []
-    kernel = symspace.kernel_basis
-    monkeypatch.setattr(symspace, "kernel_basis", lambda block: seen.append(block.copy()) or kernel(block))
-    config_space_basis(graph, group, phi)
+    kernel = oracle.kernel_basis
+    monkeypatch.setattr(oracle, "kernel_basis", lambda block: seen.append(block.copy()) or kernel(block))
+    oracle.orbit_block_basis(graph, group, phi)
     return seen
 
 

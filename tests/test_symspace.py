@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis
 from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism, verify_type
-from symrig.errors import BadParam, LengthMismatch, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted
+from symrig.errors import BadParam, LengthMismatch, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted, UnknownName
 from symrig.graphs import Graph, Permutation, parse_cycles
-from symrig.groups import schoenflies_group
-from symrig.oracle import constraint_stack, exhaustive_generic_check, orbit_sample, orbit_structure, symmetry_constraint_matrix
+from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
+from symrig.oracle import (_orbits, constraint_stack, exhaustive_generic_check, orbit_sample, orbit_structure,
+                           symmetry_constraint_matrix)
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import rigidity_verdict
 from symrig.symspace import (
-    _orbits,
     class_is_empty,
     config_space_basis,
     constraint_residual,
@@ -154,6 +154,13 @@ class TestBasis:
         phi = TypeAssignment((Permutation.identity(3), Permutation((2, 1, 0))))
         with pytest.raises(NotAnAutomorphism):
             config_space_basis(graph, C2, phi)
+
+    def test_group_with_missing_product_rejected(self):
+        # The product of the two mirrors, a turn by 0.8 rad, is not an element.
+        ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"), OrthogonalOp(mirror2(0.4), "t"))
+        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
+        with pytest.raises(UnknownName, match="broken is not closed under products"):
+            config_space_basis(Graph.make(3, [(0, 1)]), broken, identity_type(broken, 3))
 
     def test_type_of_the_wrong_length(self):
         # Every check of a type against its group names this fault with one class.

@@ -3,8 +3,12 @@
     python3 tools/output_digest.py > digest.txt
 
 Each line holds the argv (with `--problem` naming the problem, not its
-temporary path), the exit code, and the sha256 of stdout. The commands are
-run in process with the `symrig` under `src/` of the tree this file lives in:
+temporary path), the exit code, the sha256 of stdout, and last a second
+sha256 of stdout without its coordinates: for a JSON payload, of the
+payload with every `witness`, `coords`, `vectors` and `max_residual` key
+removed at any depth, and for any other output (SVG, say) of the whole of
+stdout. The commands are run in process with the `symrig` under `src/` of
+the tree this file lives in:
 
 - every shipped fixture under `analyze`, `analyze --trials 7 --seed 3`,
   `sample --count 5`, `types`, `types --normalized`, `basis`,
@@ -23,8 +27,13 @@ run in process with the `symrig` under `src/` of the tree this file lives in:
   the class-space basis of every generated class is printed somewhere.
 
 Run it in both trees and `diff` the two files: no output means every
-command printed the same bytes with the same exit code. The benchmark's
-workload generator is loaded by path; nothing is written under bench/.
+command printed the same bytes with the same exit code. A change meant to
+move coordinates only is checked on the exit codes and the last column:
+
+    diff <(awk '{$(NF-1) = ""; print}' parent.txt) <(awk '{$(NF-1) = ""; print}' change.txt)
+
+The benchmark's workload generator is loaded by path; nothing is written
+under bench/.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ GENERATED = ("cycle_cm", "high_symmetry", "large_3d")
 SAMPLED = (("analyze",), ("sample", "--count", "20"))
 SEEDS = range(1, 6)
 CLASS_SPACE = (("basis",), ("empty-check",))
+COORDINATE_KEYS = frozenset({"witness", "coords", "vectors", "max_residual"})
 
 
 def _load(path: Path, name: str):
@@ -64,6 +74,19 @@ def _load(path: Path, name: str):
     return module
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _without_coordinates(value):
+    """The JSON value with every key of COORDINATE_KEYS removed, at any depth."""
+    if isinstance(value, dict):
+        return {k: _without_coordinates(v) for k, v in value.items() if k not in COORDINATE_KEYS}
+    if isinstance(value, list):
+        return [_without_coordinates(v) for v in value]
+    return value
+
+
 def _digest(main, argv: list[str], shown: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -71,8 +94,12 @@ def _digest(main, argv: list[str], shown: list[str]) -> str:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    sha = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
-    return f"{json.dumps(shown)} {code} {sha}"
+    out = buffer.getvalue()
+    try:
+        stripped = json.dumps(_without_coordinates(json.loads(out)), sort_keys=True)
+    except json.JSONDecodeError:
+        stripped = out
+    return f"{json.dumps(shown)} {code} {_sha(out)} {_sha(stripped)}"
 
 
 def commands(workdir: Path) -> list[tuple[list[str], list[str]]]:
