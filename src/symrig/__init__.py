@@ -39,20 +39,6 @@ from .groups import (
     fixed_subspace,
     schoenflies_group,
 )
-from .oracle import (
-    BruteForceTypes,
-    GenericCheckReport,
-    OrbitStructure,
-    brute_force_type_search,
-    constraint_stack,
-    exhaustive_generic_check,
-    kernel_oracle,
-    orbit_sample,
-    orbit_structure,
-    symmetry_constraint_matrix,
-    trivial_motion_basis,
-    validate_group,
-)
 from .problem import (
     ProblemFile,
     fixture_names,
@@ -82,6 +68,22 @@ from .symspace import (
 )
 
 __version__ = "0.1.0"
+
+# The slow references load on first use, so that importing the package, and
+# every command but the oracle ones, does not pay for oracle (PEP 562).
+_ORACLE_NAMES = frozenset({
+    "BruteForceTypes", "GenericCheckReport", "OrbitStructure", "brute_force_type_search", "constraint_stack",
+    "exhaustive_generic_check", "kernel_oracle", "orbit_sample", "orbit_structure",
+    "symmetry_constraint_matrix", "trivial_motion_basis", "validate_group",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SymrigError",

@@ -10,13 +10,6 @@ SNAP_TOL = 1e-12  # entries this close to 0, +-0.5 or +-1 are taken for that val
 # a chunk of bars over a basis. Longer stacks are cut into chunks. A member of a 150-joint C3 class (44k cells of phase blocks)
 # is then a chunk of its own, so such a class peaks at the memory of one member.
 STACK_CELLS = 1 << 16
-# Cells from which kernel_basis takes a tall block's V from the SVD of its R
-# factor. On one BLAS thread (2-vCPU x86 VM, OpenBLAS 0.3.31) the extra QR call
-# costs more than the thin U it saves below about 3-4k cells: an (18, 9) orbit
-# block takes 52 -> 70 us that way and (108, 18) 174 -> 201 us, while
-# (288, 18) takes 215 -> 137 us, (576, 9) 89 -> 71 us and the icosahedron's
-# (2124, 36) block under I 2.3 -> 1.3 ms.
-R_PATH_MIN_CELLS = 4096
 
 
 def chunks(count: int, cells: int) -> list[slice]:
@@ -58,16 +51,6 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
     A matrix with no rows constrains nothing, so the kernel is the whole
     space and the canonical basis is returned.
-
-    The kernel is read from the thin SVD, and its U is never used. A tall
-    block of rows >= int(11 cols / 6) and at least R_PATH_MIN_CELLS cells
-    is factored A = QR first (Chan's R-SVD), and sigma and V come from the
-    SVD of the square R, so U is never formed. From that row count on,
-    reference LAPACK's dgesdd (the one OpenBLAS ships) takes the same path
-    inside: dgeqrf, then the SVD of R. The result is then bit for bit the
-    direct call's. Below it, dgesdd bidiagonalises A itself, and R would
-    round differently, so those blocks keep the direct call. A LAPACK with
-    another dgesdd may round the two paths differently.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
@@ -75,10 +58,8 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     rows, cols = a.shape
     if rows == 0:
         return np.eye(cols)
-    if rows >= 11 * cols // 6 and a.size >= R_PATH_MIN_CELLS:
-        a = np.linalg.qr(a, mode="r")
     # A wide matrix needs the full V for its kernel; U is never needed beyond thin.
-    _, sigma, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
     if sigma.size == 0 or sigma[0] == 0.0:
         rank = 0
     else:

@@ -24,7 +24,6 @@ from .classify import (
 )
 from .errors import BadParam, InvalidFramework, NotInSymmetryClass, SymrigError
 from .graphs import format_cycles
-from .oracle import brute_force_type_search, exhaustive_generic_check
 from .problem import ProblemFile, load_fixture, load_problem
 from .rigidity import Framework, rigidity_verdict, rigidity_verdicts
 from .symspace import (
@@ -222,6 +221,8 @@ def cmd_svg(problem: ProblemFile, args) -> str:
 
 
 def cmd_oracle_types(problem: ProblemFile, args) -> str:
+    from .oracle import brute_force_type_search  # loaded only for the oracle subcommands
+
     _need_coords(problem)
     brute = brute_force_type_search(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
     _, fast = enumerate_types(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
@@ -239,6 +240,8 @@ def cmd_oracle_types(problem: ProblemFile, args) -> str:
 
 
 def cmd_oracle_generic(problem: ProblemFile, args) -> str:
+    from .oracle import exhaustive_generic_check
+
     phi = _resolve_phi(problem, args.tol_geom)
     framework = _framework(problem, phi, args)
     report = exhaustive_generic_check(

@@ -146,11 +146,13 @@ def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignmen
 
 
 def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
-    """Exact emptiness test: a class is empty iff some bar is forced to zero length.
+    """Emptiness test: a class is empty iff some bar is forced to zero length.
 
-    A bar {u, v} is forced exactly when the linear functional p_u - p_v
-    vanishes on every basis vector of U, which makes every member of the
-    class degenerate on that bar.
+    A bar {u, v} is forced when the linear functional p_u - p_v vanishes on
+    every basis vector of U, which makes every member of the class
+    degenerate on that bar. The test is deterministic, not sampled, but it
+    compares float differences of the basis with FORCED_BAR_TOL, so it is
+    decided at that tolerance, not exactly.
     """
     # Bars in chunks: a (k, |E|, d) array of all differences would outgrow the basis itself.
     p = basis.basis.reshape(basis.k, graph.n, basis.dim)

@@ -1,10 +1,12 @@
 """Bit-level checks of the class-space kernels and bases.
 
-kernel_basis takes a tall block's V from the SVD of its R factor where
-LAPACK's dgesdd would factor the block itself. The kernel checks compare it,
-byte for byte, with the kernel of the direct thin SVD on shapes at both sides
-of that crossover and of the R_PATH_MIN_CELLS floor, for full-rank blocks,
-blocks with duplicated columns and sparse +-1 blocks like the orbit blocks.
+kernel_basis reads a block's kernel from one thin SVD of the block itself.
+The kernel checks compare it, byte for byte, with the kernel of the direct
+thin SVD, and check that no block is factored A = QR first. The shapes lie at
+both sides of the row count 11 cols / 6 from which LAPACK's dgesdd factors a
+tall block QR inside, from a few cells to 60 rows per column, for full-rank
+blocks, blocks with duplicated columns and sparse +-1 blocks like the orbit
+blocks.
 
 `class_space_digest.json` pins the sha256 of config_space_basis(...).basis
 for classes the benchmark's workload generator builds: the high_symmetry
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from symrig import _numeric
-from symrig._numeric import R_PATH_MIN_CELLS, kernel_basis
+from symrig._numeric import kernel_basis
 from symrig.classify import find_base_type
 from symrig.problem import parse_problem
 from symrig.symspace import config_space_basis
@@ -79,13 +81,12 @@ def test_kernel_bits_equal_the_direct_svd(rows, cols, kind, rtol):
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
-def test_r_path_only_above_the_crossover_and_the_floor(rows, cols, monkeypatch):
+def test_kernel_basis_factors_no_block_first(rows, cols, monkeypatch):
     calls = []
     qr = np.linalg.qr
-    monkeypatch.setattr(_numeric.np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode))
+    monkeypatch.setattr(_numeric.np.linalg, "qr", lambda a, mode="reduced": calls.append(a.shape) or qr(a, mode))
     kernel_basis(_block(rows, cols, "full rank"))
-    expected = rows >= _crossover(cols) and rows * cols >= R_PATH_MIN_CELLS
-    assert calls == ([(rows, cols)] if expected else [])
+    assert calls == []
 
 
 def _load_workloads():

@@ -1,10 +1,11 @@
 """Sampling commands run in a fresh interpreter, as the command line runs them.
 
 The CLI starts one interpreter per command, so what a command imports is
-paid on every call: drawing class members must not load numpy.random, and
+paid on every call: drawing class members must not load numpy.random,
 building a class space must not load numpy.ma (np.unique without
-return_index does, through np.ma.is_masked). And stdout for a seed must
-not depend on the interpreter's string-hash seed.
+return_index does, through np.ma.is_masked), and only the oracle
+subcommands load oracle (and fractions and decimal with it). And stdout for
+a seed must not depend on the interpreter's string-hash seed.
 """
 
 import os
@@ -35,6 +36,23 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
 """
     assert _run(script).strip() == "[]"
+
+
+def test_only_the_oracle_commands_load_oracle():
+    script = """
+import contextlib, io, sys
+import symrig
+from symrig.cli import main
+unloaded = ("symrig.oracle", "fractions", "decimal")
+with contextlib.redirect_stdout(io.StringIO()):
+    for fixture in ("k33_phi_a", "c9_c3"):
+        for command in (["analyze"], ["sample", "--count", "3"], ["basis"], ["empty-check"], ["types"], ["svg"]):
+            assert main([*command, "--fixture", fixture]) == 0, (command, fixture)
+    loaded = [name for name in unloaded if name in sys.modules]
+    assert main(["oracle", "types", "--fixture", "c4_gadget"]) == 0
+print(loaded, "symrig.oracle" in sys.modules, symrig.kernel_oracle is symrig.oracle.kernel_oracle)
+"""
+    assert _run(script).strip() == "[] True True"
 
 
 def test_class_space_commands_leave_numpy_ma_unloaded():

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from symrig import rigidity, symspace
 from symrig._numeric import block_rank, numeric_rank
-from symrig.classify import TypeAssignment, find_base_type
+from symrig.classify import TypeAssignment, find_base_type, verify_type
 from symrig.cli import main
 from symrig.errors import NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, format_cycles
 from symrig.groups import fixed_subspace, schoenflies_group
 from symrig.problem import load_fixture
-from symrig.rigidity import phase_blocks, phase_period, phase_split, rigidity_matrix
+from symrig.rigidity import Framework, phase_blocks, phase_period, phase_split, rigidity_matrix
 from symrig.symspace import config_space_basis, draw_samples
 
 GROUPS = [(2, "C2"), (2, "C3"), (2, "C4"), (2, "C6"), (2, "Cs"), (2, "C2v"),
@@ -34,10 +34,14 @@ GROUPS = [(2, "C2"), (2, "C3"), (2, "C4"), (2, "C6"), (2, "Cs"), (2, "C2v"),
 
 
 def assert_phases_match(graph, group, phi, framework):
-    """Rank and weighted singular values of every operation's blocks equal R's."""
+    """Rank and weighted singular values of every operation's blocks equal R's.
+
+    Returns the largest difference of singular values over the operations.
+    """
     full = np.linalg.svd(rigidity_matrix(framework), compute_uv=False)
     rank = numeric_rank(rigidity_matrix(framework))
     top = full[0] if full.size else 0.0
+    worst = 0.0
     for op, perm in zip(group.elements, phi.images):
         split = phase_split(graph, op, perm)
         assert split is not None
@@ -52,7 +56,9 @@ def assert_phases_match(graph, group, phi, framework):
         theirs = np.pad(full, (0, size - len(full)))
         # Rounding enters with the coordinates, whose size can exceed sigma_1 by far when the bars are short.
         scale = max(top, float(np.max(np.abs(framework.coords))))
-        assert np.max(np.abs(ours - theirs), initial=0.0) <= 1e-12 * scale, op.label
+        worst = max(worst, float(np.max(np.abs(ours - theirs), initial=0.0)))
+        assert worst <= 1e-12 * scale, op.label
+    return worst
 
 
 @st.composite
@@ -181,6 +187,19 @@ def test_short_bars_against_unit_coordinates():
     sigma = np.linalg.svd(rigidity_matrix(f), compute_uv=False)
     assert sigma[0] < 1e-3 and np.max(np.abs(f.coords)) == 1.0
     assert_phases_match(graph, group, phi, f)
+
+    # A member built by rotating two points 1e-6 apart under C8, each joint i to i + 1 in its
+    # orbit: sigma_1 = 1.4e-6, and the rotations' rounding leaves the blocks 4.1e-11 sigma_1
+    # (6.9e-17 of the coordinates) from R, so a tolerance of 1e-12 sigma_1 alone would fail.
+    group = schoenflies_group("C8", 2)
+    a = np.array([0.83, 0.31])
+    coords = np.array([m @ p for p in (a, a + 1e-6 * np.array([0.6, -0.8])) for m in group.matrices()])
+    phi = TypeAssignment(tuple(Permutation(tuple(8 * (j // 8) + (j + x) % 8 for j in range(16))) for x in range(8)))
+    graph = Graph.make(16, [(i, 8 + i) for i in range(8)])
+    f = Framework(graph, coords)
+    assert verify_type(graph, coords, group, phi)
+    sigma = np.linalg.svd(rigidity_matrix(f), compute_uv=False)
+    assert assert_phases_match(graph, group, phi, f) > 1e-12 * sigma[0]
 
 
 def test_phase_rank_on_an_axis_orbit_under_d3h():
