@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 SNAP_TOL = 1e-12  # entries this close to 0, +-0.5 or +-1 are taken for that value plus rounding error
-# Cells of the largest array one stacked pass builds: the bar differences of
-# drawn members, their rigidity matrices or phase blocks, or the differences of
-# a chunk of bars over a basis. Longer stacks are cut into chunks. A member of a 150-joint C3 class (44k cells of phase blocks)
-# is then a chunk of its own, so such a class peaks at the memory of one member.
+# Cells of the largest array one stacked pass builds: the bar differences of drawn members, or their rigidity
+# matrices or phase blocks. Longer stacks are cut into chunks. A member of a 150-joint C3 class (44k cells of
+# phase blocks) is then a chunk of its own, so such a class peaks at the memory of one member.
 STACK_CELLS = 1 << 16
 
 

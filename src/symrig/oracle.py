@@ -25,7 +25,7 @@ from .errors import (BadParam, CapExceeded, ExplosionGuard, InconsistentPropagat
 from .graphs import Graph, Permutation, is_automorphism
 from .groups import MATCH_TOL, LinearSubspace, SymmetryGroup, _match
 from .rigidity import Framework, rigidity_matrix
-from .symspace import DRAW_RETRIES, ConfigSpaceBasis, constraint_residual
+from .symspace import DRAW_RETRIES, constraint_residual
 
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
@@ -145,8 +145,8 @@ def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-def orbit_block_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> ConfigSpaceBasis:
-    """config_space_basis's reference: one kernel per orbit's block, the identity's rows only if its image is not."""
+def orbit_block_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> np.ndarray:
+    """config_space_basis's reference, dense: a kernel per orbit block, the identity's rows only if its image is not."""
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
     d, n = group.dim, graph.n
@@ -167,7 +167,7 @@ def orbit_block_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -
         kernel = kernel_basis(block.reshape(-1, m * d))
         rows.append(np.zeros((len(kernel), n, d)))
         rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
-    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=np.concatenate(rows).reshape(-1, d * n))
+    return np.concatenate(rows).reshape(-1, d * n)
 
 
 @dataclass(frozen=True, eq=False)

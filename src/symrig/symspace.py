@@ -20,10 +20,11 @@ with fewer than PHASE_MIN_COLUMNS columns keep one SVD of R, which is
 faster there.
 
 A class is sampled in stacks: the trials' coefficient vectors are rows of
-one batch of uniform draws, their configurations one stacked product with
-the basis, and rigidity.rigidity_verdicts ranks them together. A stack holds
-as many members as fit _numeric.STACK_CELLS cells of bar differences. Every
-row is computed exactly as a single draw would be, so a seed yields the same
+one batch of uniform draws, a member's joint w is frames[w] applied to the
+coefficients its slots name, at O(n d^2) per member, and
+rigidity.rigidity_verdicts ranks them together. A stack holds as many
+members as fit _numeric.STACK_CELLS cells of bar differences. Every row is
+computed exactly as a single draw would be, so a seed yields the same
 members and verdicts as drawing and deciding them one at a time. The draws
 come from the standard library's random.Random: since any seeded generator
 gives generic members, the one that costs no import of numpy.random is used.
@@ -58,20 +59,25 @@ FORCED_BAR_TOL = 1e-9  # a bar whose p_u - p_v is this small on every basis vect
 
 @dataclass(frozen=True, eq=False)
 class ConfigSpaceBasis:
-    """Orthonormal basis of the symmetric configuration space, rows are vectors."""
+    """The symmetric configuration space as one transported d x d frame per joint; k is its dimension."""
 
     graph: Graph
     group: SymmetryGroup
     phi: TypeAssignment
-    basis: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return int(self.basis.shape[0])
+    frames: np.ndarray  # column j of frames[w] is joint w's part of basis vector slots[w, j]
+    slots: np.ndarray  # k past the dimension of w's orbit, where the column is zero
+    k: int
 
     @property
     def dim(self) -> int:
         return self.group.dim
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The orthonormal basis as dense k x dn rows, scattered from the frames on first use."""
+        dense = np.zeros((self.k + 1, self.graph.n, self.dim))  # padded columns land in row k, cut off below
+        dense[self.slots, np.arange(self.graph.n)[:, None]] = self.frames.swapaxes(1, 2)
+        return dense[:-1].reshape(self.k, self.graph.n * self.dim)
 
     @cached_property
     def phases(self) -> tuple[PhaseBlock, ...] | None:
@@ -96,8 +102,8 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
     Walking from each orbit's least joint v, a level at a time with every pair (M_x, phi_x) as a step, sets
     t_{phi_x(w)} = x t_w, so p_w = M_{t_w} p_v; each Schreier element s = t_{phi_x(w)}^-1 x t_w must fix p_v.
     A frame F of the kernel of the stacked M_s - I (one kernel_basis call per distinct set, I_d for a free
-    orbit) gives rows M_{t_w} F / sqrt(|O|), orbits by least joint. A table missing a product raises
-    UnknownName. Nothing is sorted: a process's first sort maps about 0.4 MB of numpy's sort code.
+    orbit) gives joint w the frame M_{t_w} F / sqrt(|O|), orbits by least joint. A table missing a product
+    raises UnknownName. Nothing is sorted: a process's first sort maps about 0.4 MB of numpy's sort code.
     """
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
@@ -121,16 +127,16 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
     fixing = np.zeros((n, order), bool)  # fixing[v, s]: s is a Schreier element of the orbit of least joint v
     fixing[root, table[np.argmax(table == 0, axis=1)[t[images]], table[:, t]]] = True
     fixing[:, 0] = False  # the identity fixes every point
-    frames, counts, cache = np.zeros((n, d, d)), np.zeros(n, int), {bytes(order): np.eye(d)}
+    fix, counts, cache = np.zeros((n, d, d)), np.zeros(n, int), {bytes(order): np.eye(d)}  # F by rows, at v
     for v, key in zip(heads, map(np.ndarray.tobytes, fixing[heads])):
         if key not in cache:
             cache[key] = kernel_basis((mats[fixing[v]] - np.eye(d)).reshape(-1, d))
-        counts[v], frames[v, :len(cache[key])] = len(cache[key]), cache[key]
+        counts[v], fix[v, :len(cache[key])] = len(cache[key]), cache[key]
     joint, j = np.nonzero(np.arange(d) < counts[root][:, None])
-    moved = mats[t[joint]] @ frames[root[joint], j][..., None] / np.sqrt(np.bincount(root)[root[joint], None, None])
-    basis = np.zeros((counts.sum(), n, d))
-    basis[(np.cumsum(counts) - counts)[root[joint]] + j, joint] = moved[..., 0]
-    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, basis=basis.reshape(-1, d * n))
+    moved = mats[t[joint]] @ fix[root[joint], j][..., None] / np.sqrt(np.bincount(root)[root[joint], None, None])
+    k, slots, frames = int(counts.sum()), np.full((n, d), counts.sum()), np.zeros((n, d, d))
+    slots[joint, j], frames[joint, :, j] = (np.cumsum(counts) - counts)[root[joint]] + j, moved[..., 0]
+    return ConfigSpaceBasis(graph=graph, group=group, phi=phi, frames=frames, slots=slots, k=k)
 
 
 def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignment, coords: np.ndarray) -> float:
@@ -148,21 +154,17 @@ def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignmen
 def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
     """Emptiness test: a class is empty iff some bar is forced to zero length.
 
-    A bar {u, v} is forced when the linear functional p_u - p_v vanishes on
-    every basis vector of U, which makes every member of the class
-    degenerate on that bar. The test is deterministic, not sampled, but it
-    compares float differences of the basis with FORCED_BAR_TOL, so it is
-    decided at that tolerance, not exactly.
+    A bar {u, v} is forced when p_u - p_v vanishes on every basis vector of U, so that every member of the
+    class is degenerate on it. Inside one orbit the vectors' parts at u and v are the columns of frames[u] and
+    frames[v]; across orbits neither may have a frame, whose columns have norm 1/sqrt(|O|). The test is not
+    sampled, but it compares float differences with FORCED_BAR_TOL, so it is decided at that tolerance.
     """
-    # Bars in chunks: a (k, |E|, d) array of all differences would outgrow the basis itself.
-    p = basis.basis.reshape(basis.k, graph.n, basis.dim)
-    bars = graph.bars
-    forced = np.zeros(len(bars), bool)
-    for part in _numeric.chunks(len(bars), p.shape[0] * p.shape[2]):
-        diff = p[:, bars[part, 0]]
-        diff -= p[:, bars[part, 1]]
-        forced[part] = np.max(np.abs(diff, out=diff), axis=(0, 2), initial=0.0) <= FORCED_BAR_TOL
-    offending = [(u, v) for u, v in bars[forced].tolist()]
+    if graph.n != basis.graph.n:
+        raise LengthMismatch(f"graph has {graph.n} joints, the class space {basis.graph.n}")
+    u, v = graph.bars.T
+    gap = np.max(np.abs(basis.frames[u] - basis.frames[v]), axis=(1, 2))
+    forced = (basis.slots[u, 0] == basis.slots[v, 0]) & (gap <= FORCED_BAR_TOL)
+    offending = [(a, b) for a, b in graph.bars[forced].tolist()]
     return (len(offending) > 0, offending)
 
 
@@ -198,9 +200,8 @@ def _draws(basis: ConfigSpaceBasis, rng: random.Random, count: int, framework_to
         while len(accepted) < size:
             rows = min(size - len(accepted), DRAW_RETRIES - rejected)
             u = np.array([rng.random() for _ in range(rows * basis.k)])
-            weights = (-1.0 + 2.0 * u).reshape(rows, basis.k)
-            # Row by row, as weights[i] @ basis: one gemm would round differently.
-            coords = np.matmul(weights[:, None, :], basis.basis)[:, 0].reshape(len(weights), g.n, d)
+            weights = np.hstack([(-1.0 + 2.0 * u).reshape(rows, basis.k), np.zeros((rows, 1))])  # slot k reads 0
+            coords = (basis.frames * weights[:, basis.slots][:, :, None]).sum(-1)
             peak = np.max(np.abs(coords), axis=(1, 2))
             ok = peak > framework_tol
             coords /= np.where(ok, peak, 1.0)[:, None, None]

@@ -4,8 +4,8 @@ sym_generic_verdict and draw_samples draw all trials as one coordinate stack,
 and rigidity_verdicts ranks the stack in chunks of at most
 _numeric.STACK_CELLS cells. Each check here compares them with a reference
 kept in this file: the loop that drew one member, built its Framework and
-called rigidity_verdict on it; the per-bar emptiness test; and the
-two-einsum orbit block of the class-space builder.
+called rigidity_verdict on it; the per-bar emptiness test on the dense
+basis; and the two-einsum orbit block of the class-space builder.
 """
 
 import contextlib
@@ -38,7 +38,7 @@ PATHS = {"one SVD": 10**9, "phase blocks": 0}
 
 
 def reference_draw(basis, rng, framework_tol):
-    """One member, drawn as before stacking: one weight vector per attempt."""
+    """One member, drawn as before stacking: one weight vector per attempt, carried by the joints' frames."""
     g = basis.graph
     if basis.k == 0:
         f = Framework(g, np.zeros((g.n, basis.dim)))
@@ -46,8 +46,8 @@ def reference_draw(basis, rng, framework_tol):
             raise SamplingExhausted("the class is empty: its only configuration collapses a bar")
         return f
     for _ in range(DRAW_RETRIES):
-        weights = np.array([rng.uniform(-1.0, 1.0) for _ in range(basis.k)])
-        coords = (weights @ basis.basis).reshape(g.n, basis.dim)
+        weights = np.array([rng.uniform(-1.0, 1.0) for _ in range(basis.k)] + [0.0])
+        coords = (basis.frames * weights[basis.slots][:, None]).sum(-1)
         peak = np.max(np.abs(coords))
         if peak <= framework_tol:
             continue
@@ -210,8 +210,9 @@ def test_every_draw_rejected_gives_up_after_the_retry_budget(monkeypatch):
     assert made[0].getstate() == reference.getstate()
 
 
-def reference_is_empty(graph, basis):
-    p = basis.basis.reshape(basis.k, graph.n, basis.dim)
+def reference_is_empty(graph, rows):
+    """The emptiness verdict read bar by bar from a dense k x dn basis."""
+    p = rows.reshape(len(rows), graph.n, rows.shape[1] // graph.n)
     offending = [(u, v) for u, v in graph.bars.tolist()
                  if np.max(np.abs(p[:, u] - p[:, v]), initial=0.0) <= FORCED_BAR_TOL]
     return (len(offending) > 0, offending)
@@ -224,14 +225,14 @@ def test_class_is_empty_matches_the_per_bar_test(case, cells):
     basis = config_space_basis(graph, group, phi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_numeric, "STACK_CELLS", cells)
-        assert class_is_empty(graph, basis) == reference_is_empty(graph, basis)
+        assert class_is_empty(graph, basis) == reference_is_empty(graph, basis.basis)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name, monkeypatch):
     prob, phi = fixture_class(name)
     basis = config_space_basis(prob.graph, prob.group, phi)
-    expected = reference_is_empty(prob.graph, basis)
+    expected = reference_is_empty(prob.graph, basis.basis)
     assert class_is_empty(prob.graph, basis) == expected
     monkeypatch.setattr(_numeric, "STACK_CELLS", 1)
     assert class_is_empty(prob.graph, basis) == expected

@@ -207,6 +207,14 @@ class TestEmptiness:
         empty, _ = class_is_empty(graph, basis)
         assert not empty
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_graph_of_another_size_rejected(self, extra):
+        # One joint fewer would read the frames of the wrong joints, one more a frame that does not exist.
+        graph, _, _, basis = basis_for("c4_gadget")
+        other = Graph.make(graph.n + extra, [(0, 1)])
+        with pytest.raises(LengthMismatch, match=f"graph has {other.n} joints, the class space {graph.n}"):
+            class_is_empty(other, basis)
+
 
 class TestSampling:
     def test_empty_class_raises(self):

@@ -2,10 +2,14 @@
 
 config_space_basis carries one frame of each orbit stabiliser's fixed space
 to the orbit's joints; oracle.orbit_block_basis takes one kernel per orbit
-block. The two bases may differ in their bits but must span the same space:
-the same k, the same projector, orthonormal rows that meet the class
-constraints, and the same emptiness verdict.
+block and returns it as dense rows. The two bases may differ in their bits
+but must span the same space: the same k, the same projector, orthonormal
+rows that meet the class constraints, and the same emptiness verdict, the
+reference's from the per-bar test on its dense rows.
 """
+
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +19,11 @@ from symrig import symspace
 from symrig.classify import find_base_type
 from symrig.oracle import orbit_block_basis
 from symrig.problem import fixture_names, load_fixture, parse_problem
-from symrig.symspace import class_is_empty, config_space_basis, constraint_residual
+from symrig.symspace import ConfigSpaceBasis, class_is_empty, config_space_basis, constraint_residual, draw_samples
 
 from test_class_space_digest import _load_workloads
 from test_phases import symmetric_classes
+from test_stacked import _stdout, reference_is_empty
 
 WORKLOAD_CLASSES = {
     "cycle_cm": ("cycle96_c12_hom", "cycle96_c12_nonhom", "cycle48_c8_hom", "cycle48_c8_nonhom"),
@@ -31,12 +36,12 @@ WORKLOAD_CLASSES = {
 def assert_same_space(graph, group, phi):
     ours = config_space_basis(graph, group, phi)
     theirs = orbit_block_basis(graph, group, phi)
-    assert ours.k == theirs.k
+    assert ours.k == len(theirs)
     b = ours.basis
-    assert np.max(np.abs(b.T @ b - theirs.basis.T @ theirs.basis), initial=0.0) <= 1e-9
+    assert np.max(np.abs(b.T @ b - theirs.T @ theirs), initial=0.0) <= 1e-9
     assert np.max(np.abs(b @ b.T - np.eye(ours.k)), initial=0.0) <= 1e-12
     assert constraint_residual(ours, group, phi, b) <= 1e-12
-    assert class_is_empty(graph, ours) == class_is_empty(graph, theirs)
+    assert class_is_empty(graph, ours) == reference_is_empty(graph, theirs)
 
 
 def kernel_shapes(graph, group, phi, monkeypatch):
@@ -102,3 +107,30 @@ def test_one_kernel_per_distinct_stabiliser(workloads, workload, name, calls, mo
     problem = parse_problem(next(p.data for p in workloads.build(workload, 1).problems if p.name == name))
     shapes = kernel_shapes(problem.graph, problem.group, resolved(problem), monkeypatch)
     assert len(shapes) == calls and all(cols == problem.group.dim for _, cols in shapes)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_only_the_basis_command_reads_the_dense_basis(name, monkeypatch):
+    commands = [("analyze",), ("sample", "--count", "5"), ("empty-check",), ("svg",)]
+    before = [_stdout([*command, "--fixture", name]) for command in commands]
+
+    def dense(basis):
+        raise AssertionError("the dense k x dn basis was built")
+
+    monkeypatch.setattr(ConfigSpaceBasis, "basis", property(dense))
+    assert [_stdout([*command, "--fixture", name]) for command in commands] == before
+
+
+def test_a_large_class_takes_no_dense_basis(workloads):
+    # 1500 joints in free C3 orbits: the dense basis alone would be 1500 x 4500 floats, 54 MB.
+    problem = parse_problem(workloads.large_problem("c3_free_1500", 1500, random.Random(1)).data)
+    tracemalloc.start()
+    try:
+        basis = config_space_basis(problem.graph, problem.group, problem.phi)
+        empty, _ = class_is_empty(problem.graph, basis)
+        draw_samples(basis, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.k == 1500 and not empty
+    assert peak < 5 << 20
