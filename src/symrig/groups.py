@@ -17,17 +17,16 @@ Each group is checked, snapped and labelled in one pass over its element
 stack: batched determinants, traces and axes, and one match of every
 distinct rotation angle against 2 pi k / m for all m up to MAX_GROUP_ORDER.
 
-Elements are looked up by key: each matrix is filed in a dict under its
-entries rounded to a fixed grid. A key hit is confirmed at the 1e-9
+Elements are looked up by key (_find): each matrix is filed in a dict under
+its entries rounded to a fixed grid. A key hit is confirmed at the 1e-9
 distance; a miss or a failed confirm falls back to scanning every element,
-so a grid boundary can cost time but never change a match. The closure
+so a grid boundary can cost time but never change a match. Groups given as
+explicit lists (the C/Cv/D/... catalog families and user-built
+SymmetryGroups) look up all |S|^2 products this way. The closure
 (close_group) files only the products of elements with generators, walking
 the Cayley graph, and composes the rest of the multiplication table from
 those integers; one chunked pass checks the table against the float
-products. Groups given as explicit lists (the C/Cv/D/... catalog families
-and user-built SymmetryGroups) build the table one row at a time with the
-plain scan, which is faster for small groups; index_of, called only to
-restrict a type to a subgroup, scans too.
+products. index_of, called only to restrict a type to a subgroup, scans.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from math import atan2, cos, degrees, pi, sin, sqrt
+from math import atan2, cos, degrees, pi, prod, sin, sqrt
 
 import numpy as np
 
@@ -126,21 +125,23 @@ def _match(candidates: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _keys(mats: np.ndarray) -> list[bytes]:
-    """Dict keys of a stack of matrices: their entries on the key grid."""
-    grid = np.rint(mats * _KEY_SCALE).astype(np.int64).reshape(len(mats), -1)
+    """Dict keys of a stack of matrices (flat or square): their entries on the key grid."""
+    grid = np.rint(mats * _KEY_SCALE).astype(np.int64).reshape(len(mats), prod(mats.shape[1:]))
     return grid.view(f"V{grid.shape[1] * 8}").ravel().tolist()  # one bytes object per matrix
 
 
-def _lookup(m: np.ndarray, key: bytes, by_key: dict, stack: np.ndarray) -> int:
-    """Index of the stack entry within MATCH_TOL of m, or -1.
+def _find(mats: np.ndarray, stack: np.ndarray, by_key: dict) -> np.ndarray:
+    """For each matrix, the index of the stack entry within MATCH_TOL, or -1.
 
-    A key hit confirmed at MATCH_TOL answers at once; otherwise _match scans
-    the whole stack, so a neighbour across a grid boundary is still found.
+    The entry filed in by_key under the matrix's key answers when it lies
+    within MATCH_TOL; otherwise _match scans the whole stack, so a neighbour
+    across a grid boundary is still found.
     """
-    k = by_key.get(key, -1)
-    if k >= 0 and np.max(np.abs(stack[k] - m)) <= MATCH_TOL:
-        return k
-    return int(_match(m[None], stack)[0])
+    idx = np.array([by_key.get(key, -1) for key in _keys(mats)], dtype=int)
+    miss = (idx < 0) | (np.abs(mats - stack[idx]).max(axis=(1, 2)) > MATCH_TOL)
+    if miss.any():
+        idx[miss] = _match(mats[miss], stack)
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +149,9 @@ class SymmetryGroup:
     """A finite orthogonal group; element 0 is always the identity.
 
     table[i, j] indexes the product of elements i and j, or is -1 if it is missing.
-    The closure hands in the table it filled (_table); otherwise each row is
-    matched against the elements here. A caller that holds the elements'
-    matrices as one read-only stack hands it in (_matrices) to be kept as is.
+    The closure hands in the table it filled (_table); otherwise _find looks up
+    all |S|^2 products here. A caller that holds the elements' matrices as one
+    read-only stack hands it in (_matrices) to be kept as is.
     """
 
     dim: int
@@ -170,9 +171,13 @@ class SymmetryGroup:
         if not self.elements[0].is_identity():
             raise InvalidGroup("element 0 must be the identity")
         stack = np.stack([op.matrix for op in self.elements]) if _matrices is None else _matrices
-        table = np.stack([_match(m @ stack, stack) for m in stack]) if _table is None else _table
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        if _table is None:  # one row of products fills stack.size cells
+            # filed in reverse, so that the first of equal keys stays: _match finds the first
+            by_key = dict(zip(reversed(_keys(stack)), range(len(stack) - 1, -1, -1)))
+            _table = np.concatenate([_find((stack[rows, None] @ stack).reshape(-1, self.dim, self.dim), stack, by_key)
+                                     for rows in chunks(len(stack), stack.size)]).reshape(len(stack), -1)
+        _table.setflags(write=False)
+        object.__setattr__(self, "table", _table)
         object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
@@ -408,13 +413,15 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
         idx = np.array([by_key.get(key, -1) for key in keys])
         suspect = (idx < 0) | (np.abs(flat - found.reshape(max_order, -1)[idx]).max(axis=1) > MATCH_TOL)
         # With no entry within MATCH_TOL of a key boundary, every element that matches
-        # a product shares its key, so a key miss proves it new; _lookup scans the rest.
+        # a product shares its key, so a key miss proves it new; _find scans the rest.
         scaled = flat * _KEY_SCALE
         clear = (np.abs(scaled - np.rint(scaled)) < 0.5 - MATCH_TOL * _KEY_SCALE).all(axis=1).tolist()
         new = []
         for t in np.flatnonzero(suspect).tolist():
             m = flat[t].reshape(dim, dim)
-            k = -1 if clear[t] and keys[t] not in by_key else _lookup(m, keys[t], by_key, found[:count])
+            k = by_key.get(keys[t], -1)  # filed earlier in this level: a hit confirmed here skips _find's call cost
+            if k < 0 or np.max(np.abs(found[k] - m)) > MATCH_TOL:
+                k = -1 if clear[t] and k < 0 else int(_find(m[None], found[:count], by_key)[0])
             if k < 0:
                 if count >= max_order:
                     raise NotClosedWithinBound(f"closure exceeded {max_order} elements")

@@ -159,11 +159,12 @@ def parse_problem(data: dict) -> ProblemFile:
     edges_raw = data["edges"]
     _expect(isinstance(edges_raw, list), "'edges' must be a list")
     pairs = []
-    for e in edges_raw:
-        _expect(isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e),
-                f"each edge must be a pair of vertex names, got {e!r}")
+    for e in edges_raw:  # a message is formatted only for a faulty edge: _expect would format one per check
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+            raise ParseError(f"each edge must be a pair of vertex names, got {e!r}")
         for x in e:
-            _expect(x in index, f"edge endpoint {x!r} is not a declared vertex")
+            if x not in index:
+                raise ParseError(f"edge endpoint {x!r} is not a declared vertex")
         pairs.append((index[e[0]], index[e[1]]))
     try:
         graph = Graph.make(len(labels), pairs, labels)

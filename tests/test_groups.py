@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrig import groups
 from symrig._numeric import kernel_basis, snap_matrix
 from symrig.errors import (
     BadParam,
@@ -36,8 +37,8 @@ from symrig.groups import (
     schoenflies_group,
     _base_labels,
     _fmt_deg,
+    _find,
     _keys,
-    _lookup,
     _match,
     _wrap,
 )
@@ -571,14 +572,14 @@ class TestKeyedLookup:
         (key,), (other,) = _keys(stack[1:]), _keys(candidate[None])
         assert key != other
         assert np.max(np.abs(candidate - stack[1])) <= MATCH_TOL
-        assert _lookup(candidate, other, {key: 1}, stack) == 1
+        assert _find(candidate[None], stack, {key: 1}).tolist() == [1]
 
     def test_shared_key_beyond_tolerance_does_not_match(self):
         stack = self.stack_with(rotation_with_cosine(self.GRID_COS))
         candidate = rotation_with_cosine(self.GRID_COS + 1e-7)
         (key,), (same,) = _keys(stack[1:]), _keys(candidate[None])
         assert key == same
-        assert _lookup(candidate, same, {key: 1}, stack) == -1
+        assert _find(candidate[None], stack, {key: 1}).tolist() == [-1]
 
     def test_closure_confirms_key_hits(self):
         # rot2(1e-7) and its first powers share the identity's key but lie
@@ -586,6 +587,67 @@ class TestKeyedLookup:
         assert _keys(rot2(1e-7)[None]) == _keys(np.eye(2)[None])
         with pytest.raises(NotClosedWithinBound):
             close_group([rot2(1e-7)], max_order=50)
+
+
+def user_group(*ops):
+    return SymmetryGroup(dim=2, elements=tuple(OrthogonalOp(m, label) for m, label in ops), name="broken")
+
+
+# Every listed catalog family, up to order 200, and the broken user-built groups of the validator tests.
+LISTED_FAMILIES = ([(2, n) for n in ["C1", "Cs", "C2", "C3", "C12", "C200", "C2v", "C8v", "C12v", "C100v"]]
+                   + [(3, n) for n in ["C1", "Cs", "Ci", "C3", "C12", "C200", "C4v", "C12v", "C3h", "D4",
+                                       "D3h", "D6h", "D50h", "D2d", "D50d", "S4", "S6", "S200"]])
+BROKEN_GROUPS = {  # element lists, built where a test needs the group
+    "missing_inverse": ((np.eye(2), "Id"), (rot2(2 * math.pi / 3), "C3")),
+    "duplicate": ((np.eye(2), "Id"), (np.eye(2), "Id2")),
+    "labels": ((np.eye(2), "Id"), (-np.eye(2), "Id")),
+    "stretched": ((np.eye(2), "Id"), (-np.eye(2), "C2"), (rot2(math.pi / 2) * (1.0 + 1e-11), "C4"),
+                  (rot2(-math.pi / 2), "C4^3")),
+    "missing_product": ((np.eye(2), "Id"), (mirror2(0.0), "s"), (mirror2(0.4), "t")),
+    "half": ((np.eye(2), "Id"), (rot2(math.pi / 2), "C4"), (rot2(-math.pi / 2), "C4^3")),
+}
+
+
+class TestListedTable:
+    """Groups built from an element list find their products by key; match_table is the reference."""
+
+    @pytest.mark.parametrize("dim,name", LISTED_FAMILIES)
+    def test_catalog_table_equals_the_row_scan(self, dim, name):
+        group = schoenflies_group(name, dim)
+        assert np.array_equal(group.table, match_table(group.matrices()))
+
+    @pytest.mark.parametrize("dim,name,params", [
+        (2, "C7v", {"mirror_angle": 0.3}), (3, "D6h", {"axis": (1, 2, 3)}),
+        (3, "D5d", {"axis": (0, 1, 1), "secondary_axis": (1, 0, 0), "mirror_angle": 0.1}),
+        (3, "S8", {"axis": (-1, 2, 0.5)})])
+    def test_oriented_table_equals_the_row_scan(self, dim, name, params):
+        group = schoenflies_group(name, dim, **params)
+        assert np.array_equal(group.table, match_table(group.matrices()))
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_GROUPS))
+    def test_broken_group_keeps_its_missing_entries(self, name):
+        group = user_group(*BROKEN_GROUPS[name])
+        assert np.array_equal(group.table, match_table(group.matrices()))
+
+    @pytest.mark.parametrize("dim,name,scanned", [(2, "C100v", 0), (3, "D50h", 0), (3, "S200", 0),
+                                                  ("broken", "missing_product", 2)])
+    def test_only_key_misses_are_scanned(self, dim, name, scanned, monkeypatch):
+        rows = []
+
+        def counting_match(candidates, stack):
+            rows.append(len(candidates))
+            return _match(candidates, stack)
+
+        monkeypatch.setattr(groups, "_match", counting_match)
+        group = user_group(*BROKEN_GROUPS[name]) if dim == "broken" else schoenflies_group(name, dim)
+        assert sum(rows) == scanned
+        assert np.count_nonzero(group.table < 0) == (scanned if dim == "broken" else 0)
+
+    def test_no_matrices(self):
+        stack = schoenflies_group("C4", 2).matrices()
+        assert _keys(np.empty((0, 2, 2))) == [] and _keys(np.empty((0, 4))) == []
+        found = _find(np.empty((0, 2, 2)), stack, dict(zip(_keys(stack), range(4))))
+        assert found.shape == (0,) and found.dtype.kind == "i"
 
 
 class TestHighOrderLabels:

@@ -128,6 +128,21 @@ class TestParseRejections:
         with pytest.raises(ParseError, match="zz"):
             parse_problem(data)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([["v1", "v2"], ["v1", "zz"], ["yy", "v2"]], "edge endpoint 'zz' is not a declared vertex"),
+        ([["v1", "v2"], ["yy", "zz"]], "edge endpoint 'yy' is not a declared vertex"),
+        ([["v1", "v2"], ["v1"], ["v1", "zz"]], "each edge must be a pair of vertex names, got ['v1']"),
+        ([["v1", "zz"], ["v1", 2]], "edge endpoint 'zz' is not a declared vertex"),
+        ([["v1", "v2"], ["v1", 2], ["v1", "zz"]], "each edge must be a pair of vertex names, got ['v1', 2]"),
+        ([("v1", "v2")], "each edge must be a pair of vertex names, got ('v1', 'v2')"),
+    ])
+    def test_first_faulty_edge_is_reported(self, edges, message):
+        data = base_problem()
+        data["edges"] = edges
+        with pytest.raises(ParseError) as caught:
+            parse_problem(data)
+        assert str(caught.value) == message
+
     def test_self_loop(self):
         data = base_problem()
         data["edges"] = [["v1", "v1"]]

@@ -219,23 +219,18 @@ def reference_is_empty(graph, rows):
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=symmetric_classes(), cells=st.sampled_from([1, 7, 1 << 17]))
-def test_class_is_empty_matches_the_per_bar_test(case, cells):
+@given(case=symmetric_classes())
+def test_class_is_empty_matches_the_per_bar_test(case):
     graph, group, phi = case
     basis = config_space_basis(graph, group, phi)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_numeric, "STACK_CELLS", cells)
-        assert class_is_empty(graph, basis) == reference_is_empty(graph, basis.basis)
+    assert class_is_empty(graph, basis) == reference_is_empty(graph, basis.basis)
 
 
 @pytest.mark.parametrize("name", fixture_names())
-def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name, monkeypatch):
+def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name):
     prob, phi = fixture_class(name)
     basis = config_space_basis(prob.graph, prob.group, phi)
-    expected = reference_is_empty(prob.graph, basis.basis)
-    assert class_is_empty(prob.graph, basis) == expected
-    monkeypatch.setattr(_numeric, "STACK_CELLS", 1)
-    assert class_is_empty(prob.graph, basis) == expected
+    assert class_is_empty(prob.graph, basis) == reference_is_empty(prob.graph, basis.basis)
 
 
 def einsum_blocks(graph, group, phi):
