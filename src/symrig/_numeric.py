@@ -6,8 +6,8 @@ import numpy as np
 
 SNAP_TOL = 1e-12  # entries this close to 0, +-0.5 or +-1 are taken for that value plus rounding error
 # Cells of the largest array one stacked pass builds: the bar differences of drawn members, or their rigidity
-# matrices or phase blocks. Longer stacks are cut into chunks. A member of a 150-joint C3 class (44k cells of
-# phase blocks) is then a chunk of its own, so such a class peaks at the memory of one member.
+# matrices or phase blocks. Longer stacks are cut into chunks. A rank chunk holds at least the members numpy ranks
+# without the GIL (4 of a 150-joint C3 class), on one thread per usable CPU; no flag sets either (see rigidity).
 STACK_CELLS = 1 << 16
 
 
@@ -29,9 +29,14 @@ def block_rank(blocks, rtol: float = 1e-8):
     may be stacks block[..., rows, cols] with common leading axes; each
     stacked matrix is then ranked against its own largest singular value,
     and the ranks come back as an integer array of the leading shape.
+    blocks may be an iterable that builds each block once the last is dropped.
     """
-    lead = blocks[0][0].shape[:-2] if blocks else ()
-    sigmas = [(np.linalg.svd(block, compute_uv=False), mult) for block, mult in blocks if block.size]
+    lead, sigmas = (), []
+    for block, mult in blocks:
+        lead = block.shape[:-2]  # from empty blocks too: a class without bars has one rank per member
+        if block.size:
+            sigmas.append((np.linalg.svd(block, compute_uv=False), mult))
+        del block
     top = np.zeros(lead)
     for sigma, _ in sigmas:
         top = np.maximum(top, sigma[..., 0])

@@ -27,17 +27,25 @@ The intertwining holds only for p in the class. A configuration given
 from outside, such as one read from a problem file, is at best within a
 tolerance of its class, so its rank is always one SVD of R.
 
-Sampled members of one class are decided together: rigidity_verdicts takes
-a stack of configurations, builds all their matrices (or phase blocks) in
-one scatter and ranks them with one stacked SVD per block, each member
-against its own largest singular value. Stacks are cut into chunks of at
-most _numeric.STACK_CELLS matrix cells. rigidity_verdict is the stack of one.
+Sampled members of one class are decided together: rigidity_verdicts cuts
+a stack of configurations into chunks, builds a chunk's matrices (or phase
+blocks, one phase at a time) in one scatter and ranks them with one stacked
+SVD per block, each member against its own largest singular value. A chunk
+fills _numeric.STACK_CELLS matrix cells but holds at least 501 / s members,
+s the most singular values of one block: numpy's stacked SVD releases the
+GIL only above 500 members x singular values. The chunks are shared out
+over one thread per CPU the process may run on, the caller's and plain
+helper threads. Each chunk's ranks go to its own slot, so they come back in
+stack order, and a helper's error is raised again in the caller.
+rigidity_verdict is the stack of one.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
-from math import comb, lcm, sqrt
+from math import comb, lcm, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -240,24 +248,27 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     return tuple(blocks) if total == d * n else None
 
 
-def phase_blocks(framework, phases: tuple[PhaseBlock, ...]) -> list[tuple[np.ndarray, int]]:
-    """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs.
+def phase_blocks(framework, phases: tuple[PhaseBlock, ...], out: np.ndarray | None = None):
+    """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs, yielded one phase at a time.
 
     framework is a Framework or a stack of coordinates p[..., n, d] of
-    class members; the blocks then carry the same leading axes.
+    class members; the blocks then carry the same leading axes. A block is
+    built when the one before has been taken, in the byte buffer out if one
+    is given (over the one before), large enough for any phase's block.
     """
     p = framework.coords if isinstance(framework, Framework) else framework
-    out = []
     for ph in phases:
         a, b = ph.ends[:, 0], ph.ends[:, 1]
         rows = (p[..., a, :] - p[..., b, :]) * ph.scale[:, None]
         r = np.arange(len(a))[:, None]
-        block = np.zeros((*p.shape[:-2], len(a), ph.columns + 1), ph.vecs.dtype)
+        shape = (*p.shape[:-2], len(a), ph.columns + 1)
+        size = prod(shape) * ph.vecs.itemsize
+        block = (np.empty(size, np.uint8) if out is None else out[:size]).view(ph.vecs.dtype).reshape(shape)
+        block[...] = 0
         block[..., r, ph.cols[a]] = np.einsum("...rd,rdc->...rc", rows, ph.vecs[a])
         # Both ends may lie in one joint cycle and share columns: add, do not assign.
         block[..., r, ph.cols[b]] -= np.einsum("...rd,rdc->...rc", rows, ph.vecs[b])
-        out.append((block[..., :-1], ph.multiplicity))
-    return out
+        yield block[..., :-1], ph.multiplicity
 
 
 def rigidity_verdict(
@@ -282,6 +293,11 @@ def rigidity_verdict(
     return rigidity_verdicts(framework.graph, framework.coords[None], rank_rtol, phases)[0]
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on (all of them where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def rigidity_verdicts(
     graph: Graph,
     coords: np.ndarray,
@@ -292,25 +308,44 @@ def rigidity_verdicts(
 
     The configurations are taken as valid: no bar may have coincident
     endpoints. With phases, every configuration must lie in the class the
-    split was built for. Each chunk of at most STACK_CELLS matrix cells is
-    built in one scatter and ranked by one SVD per block.
+    split was built for. The chunks of the module docstring are ranked on
+    one worker thread per CPU, the results kept in stack order.
     """
     n, d = coords.shape[-2:]
     # A split without blocks (a class without bars) has R's rank, 0, too.
     if phases:
         cells = sum(len(ph.ends) * (ph.columns + 1) for ph in phases)
+        side = max(min(len(ph.ends), ph.columns) for ph in phases)
+        block_bytes = max(len(ph.ends) * (ph.columns + 1) * ph.vecs.itemsize for ph in phases)
     else:
-        cells = graph.edge_count * n * d
+        cells, side = graph.edge_count * n * d, min(graph.edge_count, n * d)
+    # numpy ranks a stack without the GIL only when members x singular values exceed 500.
+    step = max(_numeric.STACK_CELLS // max(cells, 1), -(-501 // max(side, 1)))
+    starts = range(0, len(coords), step)
+    workers = max(1, min(len(starts), _cpu_count()))
+    ranks, errors = [[]] * len(starts), []
 
-    def blocks(chunk):
-        return phase_blocks(chunk, phases) if phases else [(_matrices(graph, chunk), 1)]
+    def work(first):
+        try:
+            # One buffer a worker holds each of its chunks' phase blocks in turn.
+            out = np.empty(block_bytes * min(step, len(coords)), np.uint8) if phases else None
+            for i in range(first, len(starts), workers):
+                chunk = coords[starts[i]:starts[i] + step]
+                blocks = phase_blocks(chunk, phases, out) if phases else [(_matrices(graph, chunk), 1)]
+                ranks[i] = block_rank(blocks, rank_rtol).tolist()
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
 
-    ranks = []
-    for part in _numeric.chunks(len(coords), cells):
-        # Built inside the call, a chunk's blocks are freed before the next chunk's are.
-        ranks.extend(block_rank(blocks(coords[part]), rank_rtol).tolist())
+    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     reports = []
-    for rank, affine in zip(ranks, affine_span_dim(coords, rank_rtol).tolist()):
+    for rank, affine in zip([r for part in ranks for r in part], affine_span_dim(coords, rank_rtol).tolist()):
         trivial = comb(d + 1, 2) - comb(d - affine, 2)
         rigid = d * n - rank == trivial
         independent = rank == graph.edge_count

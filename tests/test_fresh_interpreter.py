@@ -4,16 +4,20 @@ The CLI starts one interpreter per command, so what a command imports is
 paid on every call: drawing class members must not load numpy.random,
 building a class space must not load numpy.ma (np.unique without
 return_index does, through np.ma.is_masked), and only the oracle
-subcommands load oracle (and fractions and decimal with it). And stdout for
-a seed must not depend on the interpreter's string-hash seed.
+subcommands load oracle (and fractions and decimal with it). Ranking on
+helper threads must not load concurrent.futures (about 10 ms, mostly
+logging) or multiprocessing. And stdout for a seed must not depend on the
+interpreter's string-hash seed.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import symrig
+from test_phases import PHASE_PROBLEMS
 
 SRC = str(Path(symrig.__file__).resolve().parent.parent)
 
@@ -66,6 +70,25 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
     assert _run(script).strip() == "[]"
+
+
+def test_ranking_on_helper_threads_loads_no_pool_module(tmp_path):
+    path = tmp_path / "c3_space.json"
+    path.write_text(json.dumps(PHASE_PROBLEMS["c3_space"]), encoding="utf-8")
+    script = f"""
+import contextlib, io, sys, threading
+from symrig import rigidity
+from symrig.cli import main
+rigidity._cpu_count = lambda: 2
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self) or start(self)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--problem", {str(path)!r}]) == 0
+    assert main(["sample", "--count", "20", "--problem", {str(path)!r}]) == 0
+print(len(started) >= 2, [name for name in ("concurrent.futures", "logging", "multiprocessing") if name in sys.modules])
+"""
+    assert _run(script).strip() == "True []"
 
 
 def test_stdout_does_not_depend_on_the_hash_seed():
