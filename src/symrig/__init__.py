@@ -72,9 +72,9 @@ __version__ = "0.1.0"
 # The slow references load on first use, so that importing the package, and
 # every command but the oracle ones, does not pay for oracle (PEP 562).
 _ORACLE_NAMES = frozenset({
-    "BruteForceTypes", "GenericCheckReport", "OrbitStructure", "brute_force_type_search", "constraint_stack",
-    "exhaustive_generic_check", "kernel_oracle", "orbit_sample", "orbit_structure",
-    "symmetry_constraint_matrix", "trivial_motion_basis", "validate_group",
+    "BruteForceTypes", "GenericCheckReport", "brute_force_type_search", "constraint_stack",
+    "exhaustive_generic_check", "kernel_oracle", "symmetry_constraint_matrix", "trivial_motion_basis",
+    "validate_group",
 })
 
 
@@ -96,10 +96,9 @@ __all__ = [
     "TypeAssignment", "TypeCatalog", "identity_type", "verify_type",
     "find_base_type", "enumerate_types", "is_homomorphism",
     "find_homomorphic_type", "restrict_type",
-    "ConfigSpaceBasis", "OrbitStructure", "SymGenericReport",
+    "ConfigSpaceBasis", "SymGenericReport",
     "symmetry_constraint_matrix", "config_space_basis", "constraint_residual",
-    "class_is_empty", "sample_config", "draw_samples",
-    "orbit_structure", "orbit_sample", "sym_generic_verdict",
+    "class_is_empty", "sample_config", "draw_samples", "sym_generic_verdict",
     "BruteForceTypes", "GenericCheckReport", "brute_force_type_search",
     "constraint_stack", "exhaustive_generic_check", "kernel_oracle",
     "ProblemFile", "parse_problem", "serialize_problem", "load_problem",

@@ -246,7 +246,7 @@ def cmd_oracle_generic(problem: ProblemFile, args) -> str:
     framework = _framework(problem, phi, args)
     report = exhaustive_generic_check(
         framework.coords, problem.group, phi.images,
-        evals=args.evals, seed=_seed(args, problem),
+        evals=args.evals, seed=_seed(args, problem), tol=args.tol_geom,
     )
     return _json_text({
         "name": problem.name,

@@ -57,14 +57,6 @@ class SamplingExhausted(SymrigError):
     """No admissible sample was found within the retry budget."""
 
 
-class NotAHomomorphism(SymrigError):
-    """An assignment that is not compatible with the group product."""
-
-
-class InconsistentPropagation(SymrigError):
-    """Orbit propagation assigned two conflicting positions to one joint."""
-
-
 class NotInSymmetryClass(SymrigError):
     """A realization admits no type for the requested group."""
 

@@ -2,9 +2,9 @@
 
 Everything here trades speed for directness: full permutation scans
 instead of pruned search, exact integer elimination instead of SVD,
-minor-by-minor genericity checks instead of a single rank, the dense stack,
-orbit propagation and orbit-block kernels instead of symspace's stabiliser
-frames, and a group validator that checks every invariant. Hard input caps
+minor-by-minor genericity checks instead of a single rank, the dense stack
+of class constraints instead of symspace's stabiliser frames, and a group
+validator that checks every invariant. Hard input caps
 keep the run times sane; exceeding a cap raises instead of silently
 downgrading the check. Only cli's oracle subcommands and the tests use it.
 """
@@ -19,20 +19,18 @@ from math import lcm
 import numpy as np
 
 from ._numeric import kernel_basis
-from .classify import MAX_TYPE_PRODUCT, TypeAssignment, is_homomorphism
-from .errors import (BadParam, CapExceeded, ExplosionGuard, InconsistentPropagation, InvalidGroup, LengthMismatch,
-                     NotAHomomorphism, NotAnAutomorphism, NotInSymmetryClass, NotRationalizable, SamplingExhausted)
-from .graphs import Graph, Permutation, is_automorphism
-from .groups import MATCH_TOL, LinearSubspace, SymmetryGroup, _match
+from .classify import MAX_TYPE_PRODUCT, TypeAssignment
+from .errors import (BadParam, CapExceeded, ExplosionGuard, InvalidGroup, LengthMismatch, NotInSymmetryClass,
+                     NotRationalizable)
+from .graphs import Graph, Permutation
+from .groups import MATCH_TOL, SymmetryGroup, _match
 from .rigidity import Framework, rigidity_matrix
-from .symspace import DRAW_RETRIES, constraint_residual
 
 BRUTE_MAX_VERTICES = 9
 BRUTE_MAX_ORDER = 6
 GENERIC_MAX_VERTICES = 4
 MINOR_TOL = 1e-9  # a minor vanishes when its least singular value is this small relative to max(1, largest)
 RATIONAL_TOL = 1e-9  # largest distance from an entry to the rational kernel_oracle replaces it by
-MEMBERSHIP_TOL = 1e-8  # largest class-constraint violation orbit propagation may leave
 ORTHO_TOL = 1e-12  # validate_group's orthogonality bound, stricter than the 1e-9 a new element must meet
 
 
@@ -145,106 +143,6 @@ def _orbits(n: int, images) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-def orbit_block_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> np.ndarray:
-    """config_space_basis's reference, dense: a kernel per orbit block, the identity's rows only if its image is not."""
-    if len(phi) != len(group):
-        raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    d, n = group.dim, graph.n
-    mapped = is_automorphism(graph, phi.array)
-    if not mapped.all():
-        raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
-    first = 1 if phi[0].is_identity() else 0  # element 0 is the identity operation
-    mats, images = group.matrices()[first:], phi.array[first:]
-    x, a = np.arange(len(mats))[:, None, None], np.arange(d)
-    rows = [np.zeros((0, n, d))]
-    for orbit in _orbits(n, phi.images):
-        m = len(orbit)
-        # block[x, i, :, j, :] = [i == j] M_x - [phi_x(orbit[i]) == orbit[j]] I_d
-        block = np.zeros((len(mats), m, d, m, d))
-        i = np.arange(m)
-        block[:, i, :, i, :] = mats
-        block[x, i[:, None], a, np.searchsorted(orbit, images[:, orbit])[..., None], a] -= 1.0
-        kernel = kernel_basis(block.reshape(-1, m * d))
-        rows.append(np.zeros((len(kernel), n, d)))
-        rows[-1][:, list(orbit)] = kernel.reshape(len(kernel), m, d)
-    return np.concatenate(rows).reshape(-1, d * n)
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitStructure:
-    """Vertex orbits of a homomorphic type, with per-representative freedom."""
-
-    graph: Graph
-    orbits: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    fixed_spaces: tuple[LinearSubspace, ...]
-
-    def degrees_of_freedom(self) -> int:
-        return sum(space.dim for space in self.fixed_spaces)
-
-
-def orbit_structure(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) -> OrbitStructure:
-    """Vertex orbits under the assigned automorphisms, for homomorphic types.
-
-    Each representative may be placed anywhere in the intersection of the
-    fixed subspaces of its stabilizing operations; the rest of its orbit
-    is then forced. Non-homomorphic assignments are rejected because orbit
-    propagation is only consistent along a group action.
-    """
-    if not is_homomorphism(group, phi):
-        raise NotAHomomorphism("orbit structure needs a homomorphic type")
-    orbits = _orbits(graph.n, phi.images)
-    spaces = []
-    for orbit in orbits:
-        # A homomorphic type maps the identity to the identity, so the rows are never empty.
-        fixing = [x for x in range(len(group)) if phi[x](orbit[0]) == orbit[0]]
-        stabilizer_rows = (group.matrices()[fixing] - np.eye(group.dim)).reshape(-1, group.dim)
-        spaces.append(LinearSubspace(group.dim, kernel_basis(stabilizer_rows)))
-    reps = tuple(orbit[0] for orbit in orbits)
-    return OrbitStructure(graph=graph, orbits=orbits, representatives=reps, fixed_spaces=tuple(spaces))
-
-
-def _ball_point(space: LinearSubspace, rng: np.random.Generator) -> np.ndarray:
-    if space.dim == 0:
-        return np.zeros(space.ambient_dim)
-    while True:
-        w = rng.uniform(-1.0, 1.0, space.dim)
-        if np.linalg.norm(w) <= 1.0:
-            return w @ space.basis
-
-
-def orbit_sample(structure: OrbitStructure, group: SymmetryGroup, phi: TypeAssignment,
-                 seed: int = 0, framework_tol: float = 1e-8) -> Framework:
-    """Sample by placing each orbit representative and propagating.
-
-    Representatives are drawn uniformly from the unit ball of their fixed
-    subspace; every other joint position is the image of its representative
-    under some operation. Draws that collapse a bar are rejected.
-    """
-    g = structure.graph
-    rng = np.random.default_rng(seed)
-    for _ in range(DRAW_RETRIES):
-        coords = np.full((g.n, group.dim), np.nan)
-        for rep, space in zip(structure.representatives, structure.fixed_spaces):
-            point = _ball_point(space, rng)
-            for x in range(len(group)):
-                target = phi[x](rep)
-                image = group.elements[x].matrix @ point
-                if np.isnan(coords[target, 0]):
-                    coords[target] = image
-                elif np.max(np.abs(coords[target] - image)) > MEMBERSHIP_TOL:
-                    raise InconsistentPropagation(
-                        f"joint {g.labels[target]} received two positions differing by more than {MEMBERSHIP_TOL}"
-                    )
-        residual = constraint_residual(g, group, phi, coords)
-        if residual > MEMBERSHIP_TOL:
-            raise InconsistentPropagation(f"propagated configuration violates the class constraints by {residual:.2e}")
-        f = Framework(g, coords)
-        if not f.edge_violations(framework_tol):
-            return f
-    raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
-
-
 def validate_group(group: SymmetryGroup) -> None:
     """Check the group invariants; raises InvalidGroup describing a violation.
 
@@ -302,6 +200,7 @@ def exhaustive_generic_check(
     images: tuple[Permutation, ...],
     evals: int = 8,
     seed: int = 0,
+    tol: float = 1e-8,
 ) -> GenericCheckReport:
     """Decide genericity of a configuration within its class, minor by minor.
 
@@ -311,7 +210,8 @@ def exhaustive_generic_check(
     vanishing is tested at seeded random members of the space, so a False
     is definitive while a True is correct up to a measure-zero accident.
     With no evaluation point every minor would count as vanishing
-    identically, so evals must be at least 1.
+    identically, so evals must be at least 1. The configuration must meet
+    the class constraints within tol at every joint, as verify_type measures.
     """
     if evals < 1:
         raise BadParam(f"evals must be at least 1, got {evals}")
@@ -323,14 +223,13 @@ def exhaustive_generic_check(
         raise CapExceeded("minor scan only implemented in the plane")
     if len(images) != len(group):
         raise LengthMismatch(f"{len(images)} images for a group of order {len(group)}")
+    stack = constraint_stack(group, images, n)
+    if np.max(np.linalg.norm((stack @ p.reshape(-1)).reshape(-1, d), axis=1), initial=0.0) > tol:
+        raise NotInSymmetryClass("configuration violates the class constraints")
+    space = kernel_basis(stack)
     peak = np.max(np.abs(p))
     if peak > 0:
         p = p / peak
-
-    stack = constraint_stack(group, images, n)
-    if np.max(np.abs(stack @ p.reshape(-1)), initial=0.0) > 1e-7:
-        raise NotInSymmetryClass("configuration violates the class constraints")
-    space = kernel_basis(stack)
 
     rng = np.random.default_rng(seed)
     eval_points = []

@@ -6,7 +6,7 @@ couples a joint only with its own image, so the space U of such
 configurations is a direct sum over the joint orbits of the type. An
 orbit's part is the fixed space of its least joint's stabiliser, carried
 to the other joints by the operations that reach them (oracle keeps the
-dense stack, orbit propagation and orbit-block kernels). Almost every
+dense stack of the constraints as the reference). Almost every
 point of U realizes the maximal rank the class can attain, which makes
 one sampled witness a sound certificate for rigidity properties of the
 whole class; negative verdicts from sampling remain probabilistic.

@@ -25,8 +25,6 @@ from symrig.oracle import (
     constraint_stack,
     exhaustive_generic_check,
     kernel_oracle,
-    orbit_sample,
-    orbit_structure,
     validate_group,
 )
 from symrig.problem import fixture_names, load_fixture
@@ -207,9 +205,9 @@ def test_criterion_08_injective_frameworks_have_unique_homomorphic_type():
     ]
     checked = 0
     for label, graph, group, phi in classes:
-        structure = orbit_structure(graph, group, phi)
+        basis = config_space_basis(graph, group, phi)
         for seed in range(10):
-            f = orbit_sample(structure, group, phi, seed=seed)
+            f = draw_samples(basis, 1, seed=seed)[0]
             spread = min(
                 np.linalg.norm(f.coords[i] - f.coords[j])
                 for i in range(graph.n) for j in range(i + 1, graph.n)

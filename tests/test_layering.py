@@ -1,5 +1,8 @@
 """Module layering, read from the sources: the slow references live in oracle, and only cli uses it.
 
+oracle imports nothing from symspace, so that the reference for the class space does not rest on
+the code it checks.
+
 Only oracle draws from numpy's generator: the command path samples with random.Random,
 so that no command pays for importing numpy.random.
 """
@@ -10,11 +13,13 @@ from pathlib import Path
 import pytest
 
 import symrig
-from symrig import groups, oracle, symspace
+from symrig import errors, groups, oracle, symspace
 
 SOURCES = sorted((Path(symrig.__file__).parent).glob("*.py"))
-MOVED = {"OrbitStructure": symspace, "orbit_structure": symspace, "orbit_sample": symspace,
-         "MEMBERSHIP_TOL": symspace, "validate_group": groups, "ORTHO_TOL": groups}
+MOVED = {"validate_group": groups, "ORTHO_TOL": groups}
+# The deleted class-space references beside the dense constraint stack, and the errors only they raised.
+DELETED = ("OrbitStructure", "orbit_structure", "orbit_sample", "MEMBERSHIP_TOL", "orbit_block_basis", "_ball_point",
+           "InconsistentPropagation", "NotAHomomorphism")
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -66,6 +71,11 @@ def test_the_parser_sees_numpy_random(tmp_path):
         assert _uses_numpy_random(tmp_path / "m.py"), line
 
 
+def test_oracle_imports_nothing_from_symspace():
+    assert "symspace" in _imported_modules(Path(symrig.__file__).parent / "cli.py")
+    assert "symspace" not in _imported_modules(Path(oracle.__file__))
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "oracle.py"], ids=lambda p: p.name)
 def test_only_oracle_uses_numpy_random(path):
     assert not _uses_numpy_random(path)
@@ -82,5 +92,20 @@ def test_references_come_from_oracle(name):
     if name.isupper():
         assert isinstance(getattr(oracle, name), float)
         return
+    assert getattr(oracle, name).__module__ == "symrig.oracle"
+    assert getattr(symrig, name) is getattr(oracle, name)
+
+
+@pytest.mark.parametrize("name", sorted(DELETED))
+def test_deleted_references_are_gone(name):
+    for module in (oracle, symspace, errors):
+        assert not hasattr(module, name), module.__name__
+    assert name not in symrig.__all__
+    assert not hasattr(symrig, name)
+
+
+@pytest.mark.parametrize("name", sorted(symrig._ORACLE_NAMES))
+def test_oracle_names_are_exported_from_oracle(name):
+    assert name in symrig.__all__
     assert getattr(oracle, name).__module__ == "symrig.oracle"
     assert getattr(symrig, name) is getattr(oracle, name)

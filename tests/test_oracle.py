@@ -173,6 +173,21 @@ class TestGenericCheck:
         with pytest.raises(NotInSymmetryClass):
             exhaustive_generic_check(bad, prob.group, prob.phi.images)
 
+    def test_class_tolerance_is_per_joint(self):
+        # v2 moved by 1e-5 from the half turn's image of v1: the violation is 1e-5 at v1 and at v2.
+        prob = load_fixture("k3_c2_swap")
+        off = prob.coords.copy()
+        off[1, 1] -= 1e-5
+        assert exhaustive_generic_check(off, prob.group, prob.phi.images, tol=1.01e-5).generic
+        with pytest.raises(NotInSymmetryClass):
+            exhaustive_generic_check(off, prob.group, prob.phi.images, tol=0.99e-5)
+        with pytest.raises(NotInSymmetryClass):
+            exhaustive_generic_check(off, prob.group, prob.phi.images)  # the default, 1e-8
+        # measured on the coordinates as given, not rescaled by their peak
+        assert exhaustive_generic_check(100 * prob.coords, prob.group, prob.phi.images, tol=0.0).generic
+        with pytest.raises(NotInSymmetryClass):
+            exhaustive_generic_check(100 * off, prob.group, prob.phi.images, tol=1.01e-5)
+
     def test_image_count_checked(self):
         group, _ = self.triangle_images()
         with pytest.raises(LengthMismatch):

@@ -521,6 +521,25 @@ class TestCli:
         payload = json.loads(out)
         assert payload["generic"] is True
 
+    @pytest.mark.parametrize("given", ["auto", "explicit"])
+    def test_oracle_generic_reads_tol_geom(self, tmp_path, capsys, given):
+        # v2 sits 1e-5 off the half turn's image of v1: in the class at --tol-geom 1e-3, outside it at the default.
+        data = json.loads(Path(fixture_path("k3_c2_swap")).read_text(encoding="utf-8"))
+        data["coords"]["v2"] = [-0.7, -0.40001]
+        if given == "auto":
+            data["type"] = "auto"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, "analyze", "--problem", str(path), "--tol-geom", "1e-3")
+        assert code == 0
+        assert json.loads(out)["given_configuration"]["satisfies_type"] is True
+        code, out = run_cli(capsys, "oracle", "generic", "--problem", str(path), "--tol-geom", "1e-3")
+        assert code == 0
+        assert json.loads(out)["generic"] is True
+        code, out = run_cli(capsys, "oracle", "generic", "--problem", str(path))
+        assert code == 3
+        assert "error" in json.loads(out)
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_problem_file(self, tmp_path, capsys, kind):
         path = tmp_path / "problem.json"

@@ -5,7 +5,8 @@ and rigidity_verdicts ranks the stack in chunks of at most
 _numeric.STACK_CELLS cells. Each check here compares them with a reference
 kept in this file: the loop that drew one member, built its Framework and
 called rigidity_verdict on it; the per-bar emptiness test on the dense
-basis; and the two-einsum orbit block of the class-space builder.
+basis; and each orbit's block of oracle.constraint_stack against two einsum
+products, with every entry between two orbits zero.
 """
 
 import contextlib
@@ -234,7 +235,7 @@ def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name):
 
 
 def einsum_blocks(graph, group, phi):
-    """The orbit blocks as two einsum products, as the reference builder made them before."""
+    """Each orbit's block of the class constraints as two einsum products, orbits as oracle._orbits orders them."""
     d = group.dim
     first = 1 if phi[0].is_identity() else 0
     mats, images = group.matrices()[first:], phi.array[first:]
@@ -245,35 +246,40 @@ def einsum_blocks(graph, group, phi):
         yield block.reshape(-1, m * d)
 
 
-def built_blocks(graph, group, phi, monkeypatch):
-    seen = []
-    kernel = oracle.kernel_basis
-    monkeypatch.setattr(oracle, "kernel_basis", lambda block: seen.append(block.copy()) or kernel(block))
-    oracle.orbit_block_basis(graph, group, phi)
-    return seen
+def stack_blocks(graph, group, phi):
+    """Each orbit's block sliced out of oracle.constraint_stack, once every entry coupling two orbits is zero."""
+    d, n = group.dim, graph.n
+    stack = oracle.constraint_stack(group, phi.images, n).reshape(-1, n, d, n, d)
+    orbits = oracle._orbits(n, phi.images)
+    orbit_of = np.zeros(n, int)
+    for i, orbit in enumerate(orbits):
+        orbit_of[list(orbit)] = i
+    across = orbit_of[:, None] != orbit_of[None, :]
+    assert not stack.transpose(0, 1, 3, 2, 4)[:, across].any()  # the direct sum config_space_basis relies on
+    for orbit in orbits:
+        joints = list(orbit)
+        yield stack[:, joints][:, :, :, joints].reshape(-1, len(orbit) * d)
 
 
-def assert_same_blocks(graph, group, phi, monkeypatch):
-    ours = built_blocks(graph, group, phi, monkeypatch)
+def assert_same_blocks(graph, group, phi):
+    ours = list(stack_blocks(graph, group, phi))
     theirs = list(einsum_blocks(graph, group, phi))
     assert len(ours) == len(theirs)
     for a, b in zip(ours, theirs):
         assert a.ndim == 2
         assert np.array_equal(a, b)
-        assert a.tobytes() == b.tobytes()  # zeros carry the same sign too
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=symmetric_classes())
 def test_orbit_blocks_equal_the_einsum_blocks(case):
-    with pytest.MonkeyPatch.context() as mp:
-        assert_same_blocks(*case, mp)
+    assert_same_blocks(*case)
 
 
 @pytest.mark.parametrize("name", fixture_names())
-def test_orbit_blocks_equal_the_einsum_blocks_on_fixtures(name, monkeypatch):
+def test_orbit_blocks_equal_the_einsum_blocks_on_fixtures(name):
     prob, phi = fixture_class(name)
-    assert_same_blocks(prob.graph, prob.group, phi, monkeypatch)
+    assert_same_blocks(prob.graph, prob.group, phi)
 
 
 def _stdout(argv):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis
 from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism, verify_type
-from symrig.errors import BadParam, LengthMismatch, NotAHomomorphism, NotAnAutomorphism, SamplingExhausted, UnknownName
+from symrig.errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted, UnknownName
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
-from symrig.oracle import (_orbits, constraint_stack, exhaustive_generic_check, orbit_sample, orbit_structure,
-                           symmetry_constraint_matrix)
+from symrig.oracle import _orbits, constraint_stack, exhaustive_generic_check, symmetry_constraint_matrix
 from symrig.problem import fixture_names, load_fixture
 from symrig.rigidity import rigidity_verdict
 from symrig.symspace import (
@@ -66,6 +65,16 @@ def or_rule_reference(basis, trials, seed):
 def basis_for(name):
     graph, group, phi = fixture_parts(name)
     return graph, group, phi, config_space_basis(graph, group, phi)
+
+
+def dense_k(graph, group, phi):
+    """The class space's dimension as the row count of the dense stack's kernel."""
+    return len(kernel_basis(constraint_stack(group, phi.images, graph.n)))
+
+
+def orbit_dims(basis, orbits):
+    """The columns of each orbit's frame, read from the slots of its least joint."""
+    return [int(np.count_nonzero(basis.slots[orbit[0]] < basis.k)) for orbit in orbits]
 
 
 class TestConstraintMatrix:
@@ -299,50 +308,51 @@ class TestOrbitBlockedBasis:
     def test_orbits_are_the_images_of_each_vertex(self, name):
         graph, group, phi = fixture_parts(name)
         images = {tuple(sorted({phi[x](v) for x in range(len(group))})) for v in range(graph.n)}
-        assert orbit_structure(graph, group, phi).orbits == _orbits(graph.n, phi.images) == tuple(sorted(images))
+        orbits = _orbits(graph.n, phi.images)
+        assert orbits == tuple(sorted(images))
+        slots = config_space_basis(graph, group, phi).slots
+        assert all(len({tuple(slots[v]) for v in orbit}) == 1 for orbit in orbits)  # one slot range per orbit
 
 
 class TestOrbits:
     def test_free_action_structure(self):
-        graph, group, phi = fixture_parts("gtp_psi_a")
-        structure = orbit_structure(graph, group, phi)
-        assert structure.orbits == ((0, 3), (1, 5), (2, 4))
-        assert structure.representatives == (0, 1, 2)
-        assert [s.dim for s in structure.fixed_spaces] == [2, 2, 2]
-        assert structure.degrees_of_freedom() == 6
+        graph, group, phi, basis = basis_for("gtp_psi_a")
+        orbits = _orbits(graph.n, phi.images)
+        assert orbits == ((0, 3), (1, 5), (2, 4))
+        assert tuple(orbit[0] for orbit in orbits) == (0, 1, 2)
+        assert orbit_dims(basis, orbits) == [2, 2, 2]
+        assert basis.k == 6
 
     def test_mirror_fixed_vertices_pinned_to_line(self):
-        graph, group, phi = fixture_parts("k33_phi_a")
-        structure = orbit_structure(graph, group, phi)
+        graph, group, phi, basis = basis_for("k33_phi_a")
+        orbits = _orbits(graph.n, phi.images)
         # orbits: {v1, v2}, {v3}, {v4}, {v5, v6}
-        assert structure.orbits == ((0, 1), (2,), (3,), (4, 5))
-        assert [s.dim for s in structure.fixed_spaces] == [2, 1, 1, 2]
-        assert structure.degrees_of_freedom() == 6
+        assert orbits == ((0, 1), (2,), (3,), (4, 5))
+        assert orbit_dims(basis, orbits) == [2, 1, 1, 2]
+        assert basis.k == 6
 
     def test_dof_matches_kernel_dimension(self):
         for name in ["k33_phi_a", "gtp_psi_a", "gtp_psi_b", "k4_upsilon_a", "k33_c2v"]:
             graph, group, phi, basis = basis_for(name)
-            structure = orbit_structure(graph, group, phi)
-            assert structure.degrees_of_freedom() == basis.k
+            assert sum(orbit_dims(basis, _orbits(graph.n, phi.images))) == basis.k == dense_k(graph, group, phi)
 
     def test_non_homomorphic_type_rejected(self):
-        graph, group, phi = fixture_parts("c4_gadget")
-        with pytest.raises(NotAHomomorphism):
-            orbit_structure(graph, group, phi)
+        # The transport needs no homomorphism: it walks every pair (M_x, phi_x) of the type.
+        graph, group, phi, basis = basis_for("c4_gadget")
+        assert not is_homomorphism(group, phi)
+        assert basis.k == dense_k(graph, group, phi)
 
     def test_orbit_sample_matches_class(self):
-        graph, group, phi = fixture_parts("gtp_psi_a")
-        structure = orbit_structure(graph, group, phi)
-        f = orbit_sample(structure, group, phi, seed=5)
+        graph, group, phi, basis = basis_for("gtp_psi_a")
+        f = draw_samples(basis, 1, seed=5)[0]
         assert constraint_residual(graph, group, phi, f.coords) < 1e-8
         assert not f.edge_violations()
-        again = orbit_sample(structure, group, phi, seed=5)
+        again = draw_samples(basis, 1, seed=5)[0]
         assert np.array_equal(f.coords, again.coords)
 
     def test_orbit_sample_mirror_class(self):
-        graph, group, phi = fixture_parts("k33_phi_a")
-        structure = orbit_structure(graph, group, phi)
-        f = orbit_sample(structure, group, phi, seed=9)
+        graph, group, phi, basis = basis_for("k33_phi_a")
+        f = draw_samples(basis, 1, seed=9)[0]
         assert constraint_residual(graph, group, phi, f.coords) < 1e-8
 
 
@@ -422,11 +432,16 @@ class TestArrayPassesAgainstLoops:
     @pytest.mark.parametrize("name", HOMOMORPHIC)
     def test_stabilizer_spaces(self, name):
         prob = load_fixture(name)
-        structure = orbit_structure(prob.graph, prob.group, prob.phi)
-        for orbit, space in zip(structure.orbits, structure.fixed_spaces):
+        basis = config_space_basis(prob.graph, prob.group, prob.phi)
+        for orbit in _orbits(prob.graph.n, prob.phi.images):
             rows = [op.matrix - np.eye(prob.group.dim) for op, perm in zip(prob.group.elements, prob.phi.images)
                     if perm(orbit[0]) == orbit[0]]
-            assert np.array_equal(space.basis, kernel_basis(np.vstack(rows), 1e-9))
+            space = kernel_basis(np.vstack(rows), 1e-9)
+            v = orbit[0]
+            frame = basis.frames[v][:, basis.slots[v] < basis.k] * np.sqrt(len(orbit))  # F at the least joint
+            assert frame.shape == (prob.group.dim, len(space))
+            assert np.allclose(frame.T @ frame, np.eye(len(space)), atol=1e-12)
+            assert np.allclose(frame @ frame.T, space.T @ space, atol=1e-12)
 
     def test_class_without_basis_forces_every_bar(self):
         # joints 0 and 1 coincide, and the half turn pins them and joint 2 to the origin

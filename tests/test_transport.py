@@ -1,11 +1,11 @@
-"""The transported class space against the orbit-block reference.
+"""The transported class space against the dense constraint stack.
 
 config_space_basis carries one frame of each orbit stabiliser's fixed space
-to the orbit's joints; oracle.orbit_block_basis takes one kernel per orbit
-block and returns it as dense rows. The two bases may differ in their bits
-but must span the same space: the same k, the same projector, orthonormal
-rows that meet the class constraints, and the same emptiness verdict, the
-reference's from the per-bar test on its dense rows.
+to the orbit's joints; the reference is the kernel of oracle.constraint_stack,
+the class constraints M_x p_v = p_{phi_x(v)} written as one matrix. The two
+bases may differ in their bits but must span the same space: the same k, the
+same projector, orthonormal rows that meet the class constraints, and the
+same emptiness verdict, the reference's from the per-bar test on its rows.
 """
 
 import random
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 
 from symrig import symspace
+from symrig._numeric import kernel_basis
 from symrig.classify import find_base_type
-from symrig.oracle import orbit_block_basis
+from symrig.oracle import constraint_stack
 from symrig.problem import fixture_names, load_fixture, parse_problem
 from symrig.symspace import ConfigSpaceBasis, class_is_empty, config_space_basis, constraint_residual, draw_samples
 
@@ -35,7 +36,7 @@ WORKLOAD_CLASSES = {
 
 def assert_same_space(graph, group, phi):
     ours = config_space_basis(graph, group, phi)
-    theirs = orbit_block_basis(graph, group, phi)
+    theirs = kernel_basis(constraint_stack(group, phi.images, graph.n))
     assert ours.k == len(theirs)
     b = ours.basis
     assert np.max(np.abs(b.T @ b - theirs.T @ theirs), initial=0.0) <= 1e-9
