@@ -31,7 +31,6 @@ from .graphs import (
     parse_cycles,
 )
 from .groups import (
-    LinearSubspace,
     OrthogonalOp,
     SymmetryGroup,
     close_group,
@@ -89,7 +88,7 @@ __all__ = [
     "SymrigError",
     "Graph", "Permutation", "automorphisms", "coincidence_automorphisms",
     "is_automorphism", "format_cycles", "parse_cycles",
-    "OrthogonalOp", "LinearSubspace", "SymmetryGroup", "schoenflies_group",
+    "OrthogonalOp", "SymmetryGroup", "schoenflies_group",
     "close_group", "element_order", "fixed_subspace", "validate_group",
     "Framework", "RigidityReport", "rigidity_matrix", "rigidity_verdict",
     "affine_span_dim", "trivial_motion_basis",

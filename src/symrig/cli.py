@@ -8,9 +8,11 @@ prints deterministic JSON (or SVG) to stdout, and uses exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -226,8 +228,7 @@ def cmd_oracle_types(problem: ProblemFile, args) -> str:
     _need_coords(problem)
     brute = brute_force_type_search(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
     _, fast = enumerate_types(problem.graph, problem.coords, problem.group, tol=args.tol_geom)
-    _, fast_normalized = enumerate_types(problem.graph, problem.coords, problem.group,
-                                         tol=args.tol_geom, normalized=True)
+    fast_normalized = [t for t in fast if t[0].is_identity()]  # the normalized catalog, in its order
     return _json_text({
         "name": problem.name,
         "brute_count": len(brute.types),
@@ -338,9 +339,29 @@ def _join_negative_numbers(argv: list[str]) -> list[str]:
     return joined
 
 
+def _pin_blas() -> None:
+    """Pin numpy's bundled OpenBLAS to one thread, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
+
+    The ranks run on one thread per CPU (rigidity.rigidity_verdicts), and
+    OpenBLAS threads inside each SVD would compete with them. A numpy without
+    the bundled library or its symbol is left as it is.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        if name.startswith("libscipy_openblas"):
+            setter = getattr(ctypes.CDLL(os.path.join(libs, name)), "scipy_openblas_set_num_threads64_", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
+    _pin_blas()
     try:
         _check_numbers(args)
         problem = load_fixture(args.fixture) if args.fixture else load_problem(args.problem)

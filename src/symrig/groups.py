@@ -106,18 +106,6 @@ class OrthogonalOp:
         return f"OrthogonalOp({self.label or 'unnamed'}, dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSubspace:
-    """A linear subspace given by an orthonormal basis, one vector per row."""
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[0])
-
-
 def _match(candidates: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """For each candidate matrix, the index of the first stack entry within MATCH_TOL, or -1."""
     close = np.abs(candidates[:, None] - stack[None]).max(axis=(2, 3)) <= MATCH_TOL
@@ -269,9 +257,9 @@ def element_order(op: OrthogonalOp, bound: int = MAX_GROUP_ORDER) -> int:
     raise OrderBoundExceeded(f"no power up to {bound} returns to the identity")
 
 
-def fixed_subspace(op: OrthogonalOp) -> LinearSubspace:
-    """Pointwise-fixed subspace of an operation: the kernel of (M - I), at kernel_basis's default rtol."""
-    return LinearSubspace(op.dim, kernel_basis(op.matrix - np.eye(op.dim)))
+def fixed_subspace(op: OrthogonalOp) -> np.ndarray:
+    """Orthonormal rows spanning the points an operation fixes: the kernel of M - I at kernel_basis's default rtol."""
+    return kernel_basis(op.matrix - np.eye(op.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
+from ._numeric import chunks
 from .errors import UnsupportedDim
+from .graphs import COINCIDENT_JOINT_TOL, joint_matches
 from .groups import SymmetryGroup, fixed_subspace
 from .rigidity import Framework
 
-COINCIDENCE_TOL = 1e-8
 WIDTH, HEIGHT, MARGIN = 480, 480, 40.0  # drawing size and the clear border around the scene, in pixels
 
 _STYLE = (
@@ -48,37 +49,22 @@ def _projection(dim: int) -> np.ndarray:
     return (rot_x @ rot_y)[:2]
 
 
-def _coincidence_clusters(coords: np.ndarray, tol: float) -> list[list[int]]:
-    """Joints closer than tol grouped together, clusters ordered by lowest member."""
-    n = coords.shape[0]
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(coords[i] - coords[j])) <= tol:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(members) for _, members in sorted(groups.items())]
+def _coincidence_clusters(coords: np.ndarray) -> list[list[int]]:
+    """Each joint filed under its first match by joint_matches (the least joint at its spot), clusters ordered by it."""
+    n, d = coords.shape
+    first = np.concatenate([
+        joint_matches(coords[rows], coords, COINCIDENT_JOINT_TOL).argmax(axis=1) for rows in chunks(n, n * d)
+    ])
+    clusters: dict[int, list[int]] = {}
+    for v, w in enumerate(first.tolist()):
+        clusters.setdefault(w, []).append(v)
+    return list(clusters.values())
 
 
-def _mirror_elements(group: SymmetryGroup):
-    """Reflections whose fixed set is a hyperplane (a line in 2d, a plane in 3d)."""
-    out = []
-    for op in group.elements:
-        if op.det > 0:
-            continue
-        space = fixed_subspace(op)
-        if space.dim == op.dim - 1:
-            out.append((op, space))
-    return out
+def _mirror_planes(group: SymmetryGroup) -> list[np.ndarray]:
+    """Orthonormal rows of each reflection's fixed hyperplane (a line in 2d, a plane in 3d)."""
+    planes = (fixed_subspace(op) for op in group.elements if op.det < 0)
+    return [rows for rows in planes if len(rows) == group.dim - 1]
 
 
 def _fmt(value: float) -> str:
@@ -122,9 +108,9 @@ def render_svg(
 
     if group is not None:
         reach = span * 0.75
-        for op, space in _mirror_elements(group):
+        for rows in _mirror_planes(group):
             if framework.dim == 2:
-                direction = space.basis[0]
+                direction = rows[0]
                 a = place(proj @ (reach * direction))
                 b = place(proj @ (-reach * direction))
                 parts.append(
@@ -132,7 +118,7 @@ def render_svg(
                     f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
                 )
             else:
-                b1, b2 = space.basis
+                b1, b2 = rows
                 points = []
                 for step in range(33):
                     theta = 2.0 * math.pi * step / 32
@@ -149,7 +135,7 @@ def render_svg(
             f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
         )
 
-    for cluster in _coincidence_clusters(coords, COINCIDENCE_TOL):
+    for cluster in _coincidence_clusters(coords):
         x, y = place(flat[cluster[0]])
         for ring, _vertex in enumerate(cluster):
             radius = 5.0 + 4.0 * ring

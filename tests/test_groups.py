@@ -107,11 +107,11 @@ class TestBuilders:
         assert not np.signbit(snapped[0, 0])
 
     def test_fixed_subspace_dims(self):
-        assert fixed_subspace(OrthogonalOp(mirror2(0.0), "s")).dim == 1
-        assert fixed_subspace(OrthogonalOp(rot2(1.0), "r")).dim == 0
-        assert fixed_subspace(OrthogonalOp(mirror3((0, 1, 0)), "s")).dim == 2
-        assert fixed_subspace(OrthogonalOp(rot3((0, 0, 1), 1.0), "r")).dim == 1
-        assert fixed_subspace(OrthogonalOp(-np.eye(3), "i")).dim == 0
+        assert len(fixed_subspace(OrthogonalOp(mirror2(0.0), "s"))) == 1
+        assert len(fixed_subspace(OrthogonalOp(rot2(1.0), "r"))) == 0
+        assert len(fixed_subspace(OrthogonalOp(mirror3((0, 1, 0)), "s"))) == 2
+        assert len(fixed_subspace(OrthogonalOp(rot3((0, 0, 1), 1.0), "r"))) == 1
+        assert len(fixed_subspace(OrthogonalOp(-np.eye(3), "i"))) == 0
 
 
 class TestCatalog:

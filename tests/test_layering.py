@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 
 import symrig
-from symrig import errors, groups, oracle, symspace
+from symrig import errors, groups, oracle, svg, symspace
 
 SOURCES = sorted((Path(symrig.__file__).parent).glob("*.py"))
 MOVED = {"validate_group": groups, "ORTHO_TOL": groups}
-# The deleted class-space references beside the dense constraint stack, and the errors only they raised.
+# The deleted class-space references beside the dense constraint stack, and the errors only they raised;
+# the fixed-subspace wrapper, now plain rows, and the drawing's own coincidence threshold.
 DELETED = ("OrbitStructure", "orbit_structure", "orbit_sample", "MEMBERSHIP_TOL", "orbit_block_basis", "_ball_point",
-           "InconsistentPropagation", "NotAHomomorphism")
+           "InconsistentPropagation", "NotAHomomorphism", "LinearSubspace", "COINCIDENCE_TOL")
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -98,7 +99,7 @@ def test_references_come_from_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(DELETED))
 def test_deleted_references_are_gone(name):
-    for module in (oracle, symspace, errors):
+    for module in (oracle, symspace, errors, groups, svg):
         assert not hasattr(module, name), module.__name__
     assert name not in symrig.__all__
     assert not hasattr(symrig, name)

@@ -81,8 +81,8 @@ def symmetric_classes(draw):
         site = draw(st.integers(0, len(mats) - 1))
         q = rng.uniform(-1.0, 1.0, dim)
         if site:
-            space = fixed_subspace(group.elements[site])
-            q = (q @ space.basis.T) @ space.basis if space.dim else np.zeros(dim)
+            rows = fixed_subspace(group.elements[site])
+            q = (q @ rows.T) @ rows if len(rows) else np.zeros(dim)
         points = []
         for mat in mats:
             y = mat @ q

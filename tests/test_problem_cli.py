@@ -645,6 +645,36 @@ class TestSvg:
         assert self.count(out, '<circle class="joint"') == 8
         assert self.count(out, ">×2</text>") == 4
 
+    def test_joints_coincide_at_the_library_tolerance(self):
+        # 5e-10 apart is within graphs.COINCIDENT_JOINT_TOL (1e-9) and drawn as one spot; 5e-9 apart is drawn apart
+        prob = parse_problem(
+            {
+                "dim": 2,
+                "vertices": ["a", "b", "c", "d"],
+                "edges": [["a", "c"]],
+                "group": {"schoenflies": "C1"},
+                "coords": {"a": [0.0, 0.0], "b": [5e-10, 0.0], "c": [1.0, 0.0], "d": [1.0 + 5e-9, 0.0]},
+            }
+        )
+        text = render_svg(Framework(prob.graph, prob.coords))
+        assert text.count('<circle class="joint"') == 4
+        assert text.count(">×2</text>") == 1
+
+    def test_clusters_do_not_depend_on_the_chunking(self, monkeypatch):
+        from symrig import _numeric, svg
+
+        rng = np.random.default_rng(5)
+        spots = rng.uniform(-1.0, 1.0, (7, 3))
+        picks = rng.integers(0, 7, 40)
+        coords = spots[picks]
+        whole = svg._coincidence_clusters(coords)
+        monkeypatch.setattr(_numeric, "STACK_CELLS", 3 * 40 * 3)  # three joints a chunk
+        assert svg._coincidence_clusters(coords) == whole
+        want = {}
+        for v, spot in enumerate(picks.tolist()):
+            want.setdefault(spot, []).append(v)
+        assert whole == list(want.values())
+
 
 def test_parser_is_built_once_and_reused(capsys):
     from symrig.cli import build_parser
