@@ -123,11 +123,9 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 
 def cmd_analyze(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
-    report = sym_generic_verdict(
-        problem.graph, problem.group, phi,
-        trials=args.trials, seed=_seed(args, problem),
-        rank_rtol=args.tol_rank, framework_tol=args.tol_geom,
-    )
+    basis = config_space_basis(problem.graph, problem.group, phi)
+    report = sym_generic_verdict(basis, trials=args.trials, seed=_seed(args, problem),
+                                 rank_rtol=args.tol_rank, framework_tol=args.tol_geom)
     payload = {
         "name": problem.name,
         "dim": problem.dim,
@@ -143,10 +141,10 @@ def cmd_analyze(problem: ProblemFile, args) -> str:
         "verdict": report.to_dict(problem.graph.labels),
     }
     if problem.coords is not None:
-        framework = Framework(problem.graph, problem.coords)
         section = {"satisfies_type": verify_type(problem.graph, problem.coords,
                                                  problem.group, phi, args.tol_geom)}
         try:
+            framework = Framework(problem.graph, problem.coords)
             section["rigidity"] = rigidity_verdict(framework, args.tol_rank, args.tol_geom).to_dict()
         except InvalidFramework as exc:
             section["rigidity"] = {"error": str(exc)}
@@ -198,7 +196,7 @@ def cmd_basis(problem: ProblemFile, args) -> str:
     return _json_text({
         "name": problem.name,
         "k": basis.k,
-        "max_residual": constraint_residual(basis, problem.group, phi, basis.basis),
+        "max_residual": constraint_residual(basis, basis.basis),
         "vectors": basis.basis.tolist(),
     })
 
@@ -206,7 +204,7 @@ def cmd_basis(problem: ProblemFile, args) -> str:
 def cmd_empty_check(problem: ProblemFile, args) -> str:
     phi = _resolve_phi(problem, args.tol_geom)
     basis = config_space_basis(problem.graph, problem.group, phi)
-    empty, offending = class_is_empty(problem.graph, basis)
+    empty, offending = class_is_empty(basis)
     labels = problem.graph.labels
     return _json_text({
         "name": problem.name,

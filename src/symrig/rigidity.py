@@ -89,8 +89,11 @@ class Framework:
             )
         if p.shape[1] not in (2, 3):
             raise UnsupportedDim(f"only dimensions 2 and 3 are supported, got {p.shape[1]}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidFramework("coordinates must be finite numbers")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in p, or finite p too far apart
+            spread = p.max(axis=0) - p.min(axis=0)
+        if not np.isfinite(spread).all():
+            finite = np.isfinite(p).all()
+            raise InvalidFramework(f"coordinates must {'differ by' if finite else 'be'} finite numbers")
         p.setflags(write=False)
         object.__setattr__(self, "coords", p)
 
@@ -157,9 +160,7 @@ def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8):
     p = np.asarray(coords, dtype=float)
     if p.shape[-2] <= 1:
         return 0 if p.ndim == 2 else np.zeros(p.shape[:-2], int)
-    diffs = p[..., :1, :] - p[..., 1:, :]
-    scale = np.max(np.abs(diffs), axis=(-2, -1), keepdims=True)
-    return block_rank([(diffs / np.where(scale > 0, scale, 1.0), 1)], rtol)
+    return block_rank([(p[..., :1, :] - p[..., 1:, :], 1)], rtol)
 
 
 class PhaseBlock(NamedTuple):
@@ -248,15 +249,14 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     return tuple(blocks) if total == d * n else None
 
 
-def phase_blocks(framework, phases: tuple[PhaseBlock, ...], out: np.ndarray | None = None):
+def phase_blocks(p: np.ndarray, phases: tuple[PhaseBlock, ...], out: np.ndarray | None = None):
     """R(p) in the eigenbases of a phase split: (block, multiplicity) pairs, yielded one phase at a time.
 
-    framework is a Framework or a stack of coordinates p[..., n, d] of
-    class members; the blocks then carry the same leading axes. A block is
-    built when the one before has been taken, in the byte buffer out if one
-    is given (over the one before), large enough for any phase's block.
+    p is a stack of coordinates p[..., n, d] of class members; the blocks
+    carry the same leading axes. A block is built when the one before has
+    been taken, in the byte buffer out if one is given (over the one
+    before), large enough for any phase's block.
     """
-    p = framework.coords if isinstance(framework, Framework) else framework
     for ph in phases:
         a, b = ph.ends[:, 0], ph.ends[:, 1]
         rows = (p[..., a, :] - p[..., b, :]) * ph.scale[:, None]
@@ -271,12 +271,7 @@ def phase_blocks(framework, phases: tuple[PhaseBlock, ...], out: np.ndarray | No
         yield block[..., :-1], ph.multiplicity
 
 
-def rigidity_verdict(
-    framework: Framework,
-    rank_rtol: float = 1e-8,
-    framework_tol: float = 1e-8,
-    phases: tuple[PhaseBlock, ...] | None = None,
-) -> RigidityReport:
+def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_tol: float = 1e-8) -> RigidityReport:
     """Decide infinitesimal rigidity, independence, and isostaticity.
 
     Rigid means every infinitesimal motion is trivial: d n - rank equals the
@@ -284,13 +279,12 @@ def rigidity_verdict(
     a that is C(d+1, 2) - C(d-a, 2): all of them when a >= d - 1, and less
     for points on a line (3D) or at one spot, whose rotations about that
     line or spot fix every joint. Independent means rank equals the bar
-    count; isostatic means both. The rank is one SVD of the rigidity matrix,
-    or, for a framework drawn from the class the phase split was built for,
-    the SVDs of its phase blocks. The framework is validated, then decided
-    as a stack of one by rigidity_verdicts.
+    count; isostatic means both. The rank is one SVD of the rigidity matrix.
+    The framework is validated, then decided as a stack of one by
+    rigidity_verdicts.
     """
     framework.validate(framework_tol)
-    return rigidity_verdicts(framework.graph, framework.coords[None], rank_rtol, phases)[0]
+    return rigidity_verdicts(framework.graph, framework.coords[None], rank_rtol)[0]
 
 
 def _cpu_count() -> int:

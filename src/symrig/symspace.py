@@ -139,19 +139,22 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
     return ConfigSpaceBasis(graph=graph, group=group, phi=phi, frames=frames, slots=slots, k=k)
 
 
-def constraint_residual(basis_or_graph, group: SymmetryGroup, phi: TypeAssignment, coords: np.ndarray) -> float:
-    """Largest violation of the class constraints by configurations coords[..., n, d], in chunks of STACK_CELLS."""
-    graph = basis_or_graph.graph if isinstance(basis_or_graph, ConfigSpaceBasis) else basis_or_graph
-    p = np.asarray(coords, dtype=float).reshape(-1, 1, graph.n, group.dim)
+def constraint_residual(basis: ConfigSpaceBasis, coords: np.ndarray) -> float:
+    """Largest violation of the class constraints by coords[..., n, d] or [..., n d]; other shapes: LengthMismatch."""
+    n, d, group = basis.graph.n, basis.dim, basis.group
+    p = np.asarray(coords, dtype=float)
+    if p.shape[-1:] != (n * d,) and p.shape[-2:] != (n, d):
+        raise LengthMismatch(f"expected configurations of shape (..., {n}, {d}) or (..., {n * d}), got {p.shape}")
+    p = p.reshape(-1, 1, n, d)
     worst = 0.0
-    for part in _numeric.chunks(len(p), len(group) * graph.n * group.dim):
+    for part in _numeric.chunks(len(p), len(group) * n * d):
         diff = p[part] @ group.matrices().swapaxes(1, 2)
-        diff -= p[part, 0][:, phi.array]
+        diff -= p[part, 0][:, basis.phi.array]
         worst = max(worst, float(np.max(np.abs(diff, out=diff), initial=0.0)))
     return worst
 
 
-def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
+def class_is_empty(basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]]:
     """Emptiness test: a class is empty iff some bar is forced to zero length.
 
     A bar {u, v} is forced when p_u - p_v vanishes on every basis vector of U, so that every member of the
@@ -159,12 +162,11 @@ def class_is_empty(graph: Graph, basis: ConfigSpaceBasis) -> tuple[bool, list[tu
     frames[v]; across orbits neither may have a frame, whose columns have norm 1/sqrt(|O|). The test is not
     sampled, but it compares float differences with FORCED_BAR_TOL, so it is decided at that tolerance.
     """
-    if graph.n != basis.graph.n:
-        raise LengthMismatch(f"graph has {graph.n} joints, the class space {basis.graph.n}")
-    u, v = graph.bars.T
+    bars = basis.graph.bars
+    u, v = bars.T
     gap = np.max(np.abs(basis.frames[u] - basis.frames[v]), axis=(1, 2))
     forced = (basis.slots[u, 0] == basis.slots[v, 0]) & (gap <= FORCED_BAR_TOL)
-    offending = [(a, b) for a, b in graph.bars[forced].tolist()]
+    offending = [(a, b) for a, b in bars[forced].tolist()]
     return (len(offending) > 0, offending)
 
 
@@ -265,15 +267,13 @@ class SymGenericReport:
 
 
 def sym_generic_verdict(
-    graph: Graph,
-    group: SymmetryGroup,
-    phi: TypeAssignment,
+    basis: ConfigSpaceBasis,
     trials: int = 20,
     seed: int = 0,
     rank_rtol: float = 1e-8,
     framework_tol: float = 1e-8,
 ) -> SymGenericReport:
-    """Classify a whole class by sampling: empty, or rigidity verdicts.
+    """Classify the class of a basis by sampling: empty, or rigidity verdicts.
 
     All generic realizations in a class share their infinitesimal rigidity
     properties (*Injective and non-injective realizations with symmetry*,
@@ -291,8 +291,7 @@ def sym_generic_verdict(
     if trials < 1:
         raise BadParam(f"trials must be at least 1, got {trials}")
     rng = _rng(seed)
-    basis = config_space_basis(graph, group, phi)
-    empty, offending = class_is_empty(graph, basis)
+    empty, offending = class_is_empty(basis)
     if empty:
         return SymGenericReport(
             k=basis.k, empty=True, offending_edges=tuple(offending), samples_drawn=0,
@@ -302,7 +301,7 @@ def sym_generic_verdict(
     ranks = []
     best = witness = None
     for coords in _draws(basis, rng, trials, framework_tol):
-        for report, p in zip(rigidity_verdicts(graph, coords, rank_rtol, basis.phases), coords):
+        for report, p in zip(rigidity_verdicts(basis.graph, coords, rank_rtol, basis.phases), coords):
             ranks.append(report.rank)
             if best is None or report.rank > best.rank:
                 best, witness = report, p

@@ -70,7 +70,7 @@ def test_criterion_01_mirror_k33_class_isostatic():
     good = sum(1 for _, v in pairs if v.rank == 9 and v.isostatic)
     if good < 99:
         failures.append(f"only {good}/100 samples were rank-9 isostatic")
-    report = sym_generic_verdict(prob.graph, prob.group, phi, seed=prob.seed)
+    report = sym_generic_verdict(config_space_basis(prob.graph, prob.group, phi), seed=prob.seed)
     if not report.isostatic:
         failures.append("class verdict is not isostatic")
     if report.witness is None:
@@ -90,7 +90,7 @@ def test_criterion_02_part_swapping_mirror_always_flexible():
 def test_criterion_03_triangular_prism_half_turn_classes():
     failures = []
     prob_a, phi_a = _class("gtp_psi_a")
-    report = sym_generic_verdict(prob_a.graph, prob_a.group, phi_a, seed=prob_a.seed)
+    report = sym_generic_verdict(config_space_basis(prob_a.graph, prob_a.group, phi_a), seed=prob_a.seed)
     if not report.isostatic:
         failures.append("vertex-free half-turn class gave no isostatic witness")
     else:
@@ -107,7 +107,7 @@ def test_criterion_03_triangular_prism_half_turn_classes():
 def test_criterion_04_spatial_k4_mirror_classes():
     failures = []
     prob_a, phi_a = _class("k4_upsilon_a")
-    report = sym_generic_verdict(prob_a.graph, prob_a.group, phi_a, seed=prob_a.seed)
+    report = sym_generic_verdict(config_space_basis(prob_a.graph, prob_a.group, phi_a), seed=prob_a.seed)
     if not report.isostatic:
         failures.append("plane-reflection class gave no isostatic witness")
     else:
@@ -138,7 +138,7 @@ def test_criterion_06_class_emptiness():
     failures = []
     prob, phi = _class("k2_c2_identity")
     basis = config_space_basis(prob.graph, prob.group, phi)
-    empty, offending = class_is_empty(prob.graph, basis)
+    empty, offending = class_is_empty(basis)
     if not (empty and offending == [(0, 1)]):
         failures.append("half-turn identity class on one bar should force edge v1 v2")
 
@@ -148,13 +148,13 @@ def test_criterion_06_class_emptiness():
     for a, b in itertools.product(choices, repeat=2):
         assignment = TypeAssignment((Permutation.identity(2), a, b))
         basis = config_space_basis(bar, c3, assignment)
-        empty, offending = class_is_empty(bar, basis)
+        empty, offending = class_is_empty(basis)
         if not (empty and offending == [(0, 1)]):
             failures.append(f"third-turn class {a.images}/{b.images} not reported empty")
 
     prob, phi = _class("k33_phi_a")
     basis = config_space_basis(prob.graph, prob.group, phi)
-    empty, _ = class_is_empty(prob.graph, basis)
+    empty, _ = class_is_empty(basis)
     if empty:
         failures.append("mirror class of K3,3 wrongly reported empty")
     _report(6, "forced-bar emptiness test on one-bar and K3,3 classes", failures)
@@ -241,7 +241,7 @@ def test_criterion_09_basis_residuals_and_kernel_oracle():
         prob, phi = _class(name)
         basis = config_space_basis(prob.graph, prob.group, phi)
         for j, row in enumerate(basis.basis):
-            residual = constraint_residual(basis, prob.group, phi, row)
+            residual = constraint_residual(basis, row)
             if residual > 1e-9:
                 failures.append(f"{name}: basis vector {j} violates constraints by {residual:.2e}")
         stack = constraint_stack(prob.group, phi.images, prob.graph.n)
@@ -271,7 +271,7 @@ def test_criterion_10_subgroup_monotonicity():
     if sub_basis.k != 6:
         failures.append(f"mirror subgroup class space has k = {sub_basis.k}, not 6")
     for j, row in enumerate(full_basis.basis):
-        residual = constraint_residual(sub_basis, sub, sub_phi, row)
+        residual = constraint_residual(sub_basis, row)
         if residual > 1e-9:
             failures.append(f"full-group basis vector {j} leaves the subgroup space by {residual:.2e}")
     full_ranks = [

@@ -73,6 +73,29 @@ def test_analyze_reports_given_coords_that_collapse_a_bar(tmp_path, capsys):
     assert payload["verdict"]["isostatic"]  # the class itself is a bar through the centre
 
 
+def test_given_coords_whose_difference_overflows(tmp_path, capsys):
+    # Each coordinate is finite, but v1 - v2 is not: analyze reports it as it reports a collapsed bar.
+    problem = dict(BAR, type={"C2": "(v1 v2)"}, coords={"v1": [1e308, 0.0], "v2": [-1e308, 0.0]})
+    error = "coordinates must differ by finite numbers"
+    code, out = _run(tmp_path, capsys, problem, "analyze", "--trials", "3")
+    assert code == 0
+    assert json.loads(out)["given_configuration"]["rigidity"] == {"error": error}
+    for command in (["svg"], ["oracle", "generic"]):
+        assert _run(tmp_path, capsys, problem, *command) == (3, json.dumps({"error": error}) + "\n")
+    code, out = _run(tmp_path, capsys, problem, "types")
+    assert code == 0
+    assert json.loads(out)["types"] == [{"Id": "id", "C2": "(v1 v2)"}]
+
+
+def test_analyze_checks_the_type_before_the_trials(tmp_path, capsys):
+    # The class is built before it is sampled, so a type that is no automorphism is named first.
+    problem = {"dim": 2, "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+               "group": {"schoenflies": "C2"}, "type": {"C2": "(a b)"}}
+    code, out = _run(tmp_path, capsys, problem, "analyze", "--trials", "0")
+    assert code == 3
+    assert json.loads(out) == {"error": "image for C2 is not an automorphism"}
+
+
 def test_axis_param_reaches_the_group(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, X_TRIANGLE, "analyze", "--trials", "3")
     assert code == 0

@@ -46,7 +46,7 @@ def assert_phases_match(graph, group, phi, framework):
         split = phase_split(graph, op, perm)
         assert split is not None
         assert sum(ph.multiplicity * ph.columns for ph in split) <= framework.dim * framework.n
-        blocks = list(phase_blocks(framework, split))
+        blocks = list(phase_blocks(framework.coords, split))
         assert block_rank(blocks) == rank, op.label
         sigma = np.concatenate([np.zeros(0)] + [
             np.repeat(np.linalg.svd(block, compute_uv=False), mult) for block, mult in blocks

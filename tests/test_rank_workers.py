@@ -68,12 +68,12 @@ def mixed_stack(prob, count):
 @pytest.mark.parametrize("name, lengths", [("c3_space", [11, 9]), ("c3_free_150", [4] * 5)])
 def test_a_chunk_holds_enough_members_to_rank_without_the_gil(name, lengths, problems, monkeypatch):
     prob = parse_problem(problems[name])
-    phases = config_space_basis(prob.graph, prob.group, prob.phi).phases
+    basis = config_space_basis(prob.graph, prob.group, prob.phi)
     chunks = count_chunks(monkeypatch)
-    sym_generic_verdict(prob.graph, prob.group, prob.phi, trials=20, seed=3)
+    sym_generic_verdict(basis, trials=20, seed=3)
     assert sorted(chunks, reverse=True) == lengths  # helpers may start before the caller
     # numpy's stacked SVD releases the GIL above 500 members x singular values: every chunk but the last crosses that
-    assert lengths[0] * max(min(len(ph.ends), ph.columns) for ph in phases) > 500
+    assert lengths[0] * max(min(len(ph.ends), ph.columns) for ph in basis.phases) > 500
 
 
 @pytest.mark.parametrize("name", ["c3_space", "c3_free_150"])
@@ -83,13 +83,13 @@ def test_same_verdict_on_one_worker_or_several(name, problems, monkeypatch):
     started, chunks = count_threads(monkeypatch), count_chunks(monkeypatch)
 
     monkeypatch.setattr(rigidity, "_cpu_count", lambda: 1)
-    one = sym_generic_verdict(prob.graph, prob.group, prob.phi, trials=20, seed=3)
+    one = sym_generic_verdict(basis, trials=20, seed=3)
     one_stack = rigidity.rigidity_verdicts(prob.graph, coords, 1e-8, basis.phases)
     assert not started and len(chunks) > 3 and sum(chunks) == 60
     assert len({report.rank for report in one_stack}) == 2
 
     monkeypatch.setattr(rigidity, "_cpu_count", lambda: 3)
-    several = sym_generic_verdict(prob.graph, prob.group, prob.phi, trials=20, seed=3)
+    several = sym_generic_verdict(basis, trials=20, seed=3)
     several_stack = rigidity.rigidity_verdicts(prob.graph, coords, 1e-8, basis.phases)
     assert len(started) >= 2  # a helper or more in each call
     assert several.ranks == one.ranks and several.max_rank == one.max_rank

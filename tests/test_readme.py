@@ -1,0 +1,16 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    assert scope["basis"].k == 6
+    assert (scope["empty"], scope["forced"]) == (False, [])
+    assert scope["report"].isostatic and scope["report"].k == scope["basis"].k

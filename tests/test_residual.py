@@ -5,6 +5,7 @@ import pytest
 
 from symrig import _numeric
 from symrig.classify import find_base_type
+from symrig.errors import LengthMismatch
 from symrig.problem import fixture_names, load_fixture
 from symrig.symspace import config_space_basis, constraint_residual
 
@@ -25,13 +26,20 @@ def test_stack_is_the_largest_row(name, monkeypatch):
                   for c in rows.reshape(-1, prob.graph.n, prob.dim)
                   for op, perm in zip(prob.group.elements, phi.images))
     assert per_row > 0.0
-    assert max(constraint_residual(basis, prob.group, phi, row) for row in rows) == per_row
-    assert constraint_residual(basis, prob.group, phi, rows) == per_row
-    assert constraint_residual(prob.graph, prob.group, phi, rows.reshape(-1, prob.graph.n, prob.dim)) == per_row
+    assert max(constraint_residual(basis, row) for row in rows) == per_row
+    assert constraint_residual(basis, rows) == per_row
+    assert constraint_residual(basis, rows.reshape(-1, prob.graph.n, prob.dim)) == per_row
     monkeypatch.setattr(_numeric, "STACK_CELLS", 1)  # one configuration per chunk
-    assert constraint_residual(basis, prob.group, phi, rows) == per_row
+    assert constraint_residual(basis, rows) == per_row
 
 
 def test_empty_stack_has_no_residual():
     prob, phi, basis, rows = _rows("k33_phi_a")
-    assert constraint_residual(basis, prob.group, phi, rows[:0]) == 0.0
+    assert constraint_residual(basis, rows[:0]) == 0.0
+
+
+def test_configurations_of_twice_the_joints_rejected():
+    # A zero array of 2n joints reshapes into two zero members, whose residual would read 0.0.
+    prob, _, basis, _ = _rows("k33_phi_a")
+    with pytest.raises(LengthMismatch, match=f"got \\({2 * prob.graph.n}, {prob.dim}\\)"):
+        constraint_residual(basis, np.zeros((2 * prob.graph.n, prob.dim)))

@@ -35,6 +35,12 @@ class TestFramework:
         with pytest.raises(InvalidFramework):
             Framework(TRIANGLE, p)
 
+    def test_coords_whose_differences_overflow_rejected(self):
+        # Every entry is finite, but p_0 - p_1 is not, and no bar vector or rank could be read from it.
+        with pytest.raises(InvalidFramework, match="coordinates must differ by finite numbers"):
+            tri_framework([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        assert tri_framework([[1e307, 0.0], [-1e307, 0.0], [0.0, 1.0]]).n == 3
+
     def test_dim_validation(self):
         with pytest.raises(UnsupportedDim):
             Framework(TRIANGLE, np.zeros((3, 4)))

@@ -3,8 +3,8 @@
 sym_generic_verdict and draw_samples draw all trials as one coordinate stack,
 and rigidity_verdicts ranks the stack in chunks of at most
 _numeric.STACK_CELLS cells. Each check here compares them with a reference
-kept in this file: the loop that drew one member, built its Framework and
-called rigidity_verdict on it; the per-bar emptiness test on the dense
+kept in this file: the loop that drew one member, built and validated its
+Framework and ranked it as a stack of one; the per-bar emptiness test on the dense
 basis; and each orbit's block of oracle.constraint_stack against two einsum
 products, with every entry between two orbits zero.
 """
@@ -58,24 +58,24 @@ def reference_draw(basis, rng, framework_tol):
     raise SamplingExhausted(f"no valid framework in {DRAW_RETRIES} draws")
 
 
-def reference_verdict(graph, group, phi, trials, seed, framework_tol=1e-8):
+def reference_verdict(basis, trials, seed, framework_tol=1e-8):
     """(ranks, verdict of the first member of greatest rank, its coordinates)."""
-    basis = config_space_basis(graph, group, phi)
     rng = random.Random(seed)
     best = witness = None
     ranks = []
     for _ in range(trials):
         f = reference_draw(basis, rng, framework_tol)
-        report = rigidity_verdict(f, 1e-8, framework_tol, basis.phases)
+        f.validate(framework_tol)
+        report = rigidity_verdicts(f.graph, f.coords[None], 1e-8, basis.phases)[0]
         ranks.append(report.rank)
         if best is None or report.rank > best.rank:
             best, witness = report, f.coords
     return tuple(ranks), best, witness
 
 
-def assert_same_verdict(graph, group, phi, trials, seed, framework_tol=1e-8):
-    ranks, best, witness = reference_verdict(graph, group, phi, trials, seed, framework_tol)
-    report = sym_generic_verdict(graph, group, phi, trials=trials, seed=seed, framework_tol=framework_tol)
+def assert_same_verdict(basis, trials, seed, framework_tol=1e-8):
+    ranks, best, witness = reference_verdict(basis, trials, seed, framework_tol)
+    report = sym_generic_verdict(basis, trials=trials, seed=seed, framework_tol=framework_tol)
     assert report.ranks == ranks
     assert report.max_rank == best.rank
     assert (report.infinitesimally_rigid, report.independent, report.isostatic) == (
@@ -96,15 +96,16 @@ def test_stack_matches_the_per_member_loop(path, case, seed, trials):
     graph, group, phi = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symspace, "PHASE_MIN_COLUMNS", PATHS[path])
-        if class_is_empty(graph, config_space_basis(graph, group, phi))[0]:
+        basis = config_space_basis(graph, group, phi)
+        if class_is_empty(basis)[0]:
             return
         try:
-            reference_verdict(graph, group, phi, trials, seed)
+            reference_verdict(basis, trials, seed)
         except SamplingExhausted:
             with pytest.raises(SamplingExhausted):
-                sym_generic_verdict(graph, group, phi, trials=trials, seed=seed)
+                sym_generic_verdict(basis, trials=trials, seed=seed)
             return
-        assert_same_verdict(graph, group, phi, trials, seed)
+        assert_same_verdict(basis, trials, seed)
 
 
 @pytest.mark.parametrize("name", sorted(PHASE_PROBLEMS))
@@ -113,17 +114,18 @@ def test_chunk_boundaries_do_not_change_the_verdict(name, cells, monkeypatch):
     from symrig.problem import parse_problem
 
     prob = parse_problem(PHASE_PROBLEMS[name])
-    whole = sym_generic_verdict(prob.graph, prob.group, prob.phi, trials=20, seed=3)
-    phases = config_space_basis(prob.graph, prob.group, prob.phi).phases
+    basis = config_space_basis(prob.graph, prob.group, prob.phi)
+    whole = sym_generic_verdict(basis, trials=20, seed=3)
+    phases = basis.phases
     assert phases is not None
     per_member = sum(len(ph.ends) * (ph.columns + 1) for ph in phases)
     # 3 members per chunk: 20 trials make six chunks of 3 and one of 2
     monkeypatch.setattr(_numeric, "STACK_CELLS", 1 if cells == 1 else 3 * per_member + 1)
     assert [len(range(20)[p]) for p in _numeric.chunks(20, per_member)] == ([1] * 20 if cells == 1 else [3] * 6 + [2])
-    cut = sym_generic_verdict(prob.graph, prob.group, prob.phi, trials=20, seed=3)
+    cut = sym_generic_verdict(basis, trials=20, seed=3)
     assert cut.ranks == whole.ranks and cut.max_rank == whole.max_rank
     assert cut.witness.tobytes() == whole.witness.tobytes()
-    assert_same_verdict(prob.graph, prob.group, prob.phi, 20, 3)
+    assert_same_verdict(basis, 20, 3)
 
 
 def test_chunks_cover_the_stack_in_order(monkeypatch):
@@ -153,9 +155,10 @@ def test_each_member_is_ranked_against_its_own_largest_singular_value():
 @pytest.mark.parametrize("name", fixture_names())
 def test_rejected_draws_at_a_coarse_tolerance(name):
     prob, phi = fixture_class(name)
-    if class_is_empty(prob.graph, config_space_basis(prob.graph, prob.group, phi))[0]:
+    basis = config_space_basis(prob.graph, prob.group, phi)
+    if class_is_empty(basis)[0]:
         return
-    assert_same_verdict(prob.graph, prob.group, phi, 20, prob.seed, framework_tol=0.2)
+    assert_same_verdict(basis, 20, prob.seed, framework_tol=0.2)
 
 
 def _record_generators(monkeypatch):
@@ -204,7 +207,7 @@ def test_every_draw_rejected_gives_up_after_the_retry_budget(monkeypatch):
     basis = config_space_basis(prob.graph, prob.group, phi)
     made = _record_generators(monkeypatch)
     with pytest.raises(SamplingExhausted, match=f"no valid framework in {DRAW_RETRIES} draws"):
-        sym_generic_verdict(prob.graph, prob.group, phi, trials=20, seed=5, framework_tol=10.0)
+        sym_generic_verdict(basis, trials=20, seed=5, framework_tol=10.0)
     reference = random.Random(5)
     for _ in range(DRAW_RETRIES * basis.k):
         reference.random()
@@ -224,14 +227,14 @@ def reference_is_empty(graph, rows):
 def test_class_is_empty_matches_the_per_bar_test(case):
     graph, group, phi = case
     basis = config_space_basis(graph, group, phi)
-    assert class_is_empty(graph, basis) == reference_is_empty(graph, basis.basis)
+    assert class_is_empty(basis) == reference_is_empty(graph, basis.basis)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_class_is_empty_matches_the_per_bar_test_on_fixtures(name):
     prob, phi = fixture_class(name)
     basis = config_space_basis(prob.graph, prob.group, phi)
-    assert class_is_empty(prob.graph, basis) == reference_is_empty(prob.graph, basis.basis)
+    assert class_is_empty(basis) == reference_is_empty(prob.graph, basis.basis)
 
 
 def einsum_blocks(graph, group, phi):
