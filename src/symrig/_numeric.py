@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import BadParam
 
 SNAP_TOL = 1e-12  # entries this close to 0, +-0.5 or +-1 are taken for that value plus rounding error
 # Cells of the largest array one stacked pass builds: the bar differences of drawn members, or their rigidity
@@ -20,6 +24,12 @@ def chunks(count: int, cells: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
+def _check_rtol(rtol: float) -> None:
+    """Reject a relative tolerance that is not a finite number >= 0."""
+    if not (math.isfinite(rtol) and rtol >= 0):
+        raise BadParam(f"rtol must be a finite number >= 0, got {rtol}")
+
+
 def block_rank(blocks, rtol: float = 1e-8):
     """Rank of a block-diagonal matrix given as (block, multiplicity) pairs.
 
@@ -31,6 +41,7 @@ def block_rank(blocks, rtol: float = 1e-8):
     and the ranks come back as an integer array of the leading shape.
     blocks may be an iterable that builds each block once the last is dropped.
     """
+    _check_rtol(rtol)
     lead, sigmas = (), []
     for block, mult in blocks:
         lead = block.shape[:-2]  # from empty blocks too: a class without bars has one rank per member
@@ -53,21 +64,17 @@ def numeric_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
 def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the right kernel, one vector per row.
 
-    A matrix with no rows constrains nothing, so the kernel is the whole
-    space and the canonical basis is returned.
+    A matrix with no rows constrains nothing: numpy's full V of it is the
+    identity, the canonical basis of the whole space.
     """
+    _check_rtol(rtol)
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("kernel_basis expects a 2d array")
     rows, cols = a.shape
-    if rows == 0:
-        return np.eye(cols)
     # A wide matrix needs the full V for its kernel; U is never needed beyond thin.
     _, sigma, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > rtol * sigma[0]))
+    rank = np.count_nonzero(sigma > rtol * sigma.max(initial=0.0))
     return vh[rank:].copy()
 
 

@@ -227,12 +227,9 @@ def find_homomorphic_type(
     """First type in catalog order that is a homomorphism, if any.
 
     Any homomorphism sends the identity operation to the identity
-    automorphism, so only the normalized catalog needs scanning. With a
-    trivial coincidence group the unique type is returned directly.
+    automorphism, so only the normalized catalog needs scanning.
     """
-    catalog, types = enumerate_types(graph, coords, group, tol, normalized=True)
-    if len(catalog.coincidence_group) == 1:
-        return types[0]
+    _, types = enumerate_types(graph, coords, group, tol, normalized=True)
     for phi in types:
         if is_homomorphism(group, phi):
             return phi

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -79,13 +79,8 @@ def brute_force_type_search(
         moved = p @ op.matrix.T
         good = tuple(a for a in autos if np.max(np.abs(moved - p[list(a.images)])) <= tol)
         valid_sets.append(good)
-    if any(len(vs) == 0 for vs in valid_sets):
-        return BruteForceTypes(valid_sets=tuple(valid_sets), types=(), normalized=())
-    total = 1
-    for vs in valid_sets:
-        total *= len(vs)
-        if total > MAX_TYPE_PRODUCT:
-            raise ExplosionGuard(f"type catalog would exceed {MAX_TYPE_PRODUCT} entries")
+    if prod(map(len, valid_sets)) > MAX_TYPE_PRODUCT:
+        raise ExplosionGuard(f"type catalog would exceed {MAX_TYPE_PRODUCT} entries")
     types = tuple(TypeAssignment(images=combo) for combo in itertools.product(*valid_sets))
     normalized = tuple(t for t in types if t[0].is_identity())
     return BruteForceTypes(valid_sets=tuple(valid_sets), types=types, normalized=normalized)
@@ -189,8 +184,6 @@ class GenericCheckReport:
 
 def _minor_vanishes(sub: np.ndarray) -> bool:
     sigma = np.linalg.svd(sub, compute_uv=False)
-    if sigma[0] == 0.0:
-        return True
     return bool(sigma[-1] <= MINOR_TOL * max(1.0, sigma[0]))
 
 
@@ -302,9 +295,6 @@ def kernel_oracle(matrix: np.ndarray, denom_bound: int = 10**6) -> int:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("kernel_oracle expects a 2d array")
-    rows, cols = a.shape
-    if rows == 0:
-        return cols
     int_rows = []
     for row in a:
         fracs = []
@@ -315,4 +305,4 @@ def kernel_oracle(matrix: np.ndarray, denom_bound: int = 10**6) -> int:
             fracs.append(f)
         mult = lcm(*(f.denominator for f in fracs))
         int_rows.append([int(f * mult) for f in fracs])
-    return cols - _bareiss_rank(int_rows)
+    return a.shape[1] - _bareiss_rank(int_rows)

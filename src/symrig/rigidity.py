@@ -4,8 +4,8 @@ The rigidity matrix R(p) has one row per bar {u, v}: the d entries
 p_u - p_v in the columns of u, the d entries p_v - p_u in the columns of
 v, zeros elsewhere. A rank decision counts the singular values above a
 cutoff relative to the largest one, so scaling the configuration does not
-change it and no rescaled copy is made. The trivial motions are counted
-in closed form from the affine span.
+change it. The trivial motions are counted in closed form from the affine
+span.
 
 A framework drawn from a symmetry class is decided in smaller pieces. Let
 g be one operation of the class's type, with matrix M and joint
@@ -25,7 +25,10 @@ non-homomorphic types and non-injective realizations too.
 
 The intertwining holds only for p in the class. A configuration given
 from outside, such as one read from a problem file, is at best within a
-tolerance of its class, so its rank is always one SVD of R.
+tolerance of its class, so its rank is always one SVD of R. It is ranked
+after an exact power-of-two rescale that brings its largest coordinate
+into [0.5, 1): the cutoff is relative, so the rank is that of the given
+coordinates, but R's singular values can no longer overflow.
 
 Sampled members of one class are decided together: rigidity_verdicts cuts
 a stack of configurations into chunks, builds a chunk's matrices (or phase
@@ -158,8 +161,6 @@ def affine_span_dim(coords: np.ndarray, rtol: float = 1e-8):
     as an integer array of the leading shape, from one stacked SVD.
     """
     p = np.asarray(coords, dtype=float)
-    if p.shape[-2] <= 1:
-        return 0 if p.ndim == 2 else np.zeros(p.shape[:-2], int)
     return block_rank([(p[..., :1, :] - p[..., 1:, :], 1)], rtol)
 
 
@@ -231,8 +232,6 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
         for s, cycles in by_length.items():
             w = _eigenspace(powers[s], lam ** s)
             m = w.shape[1]
-            if m == 0:
-                continue
             joints = np.array(cycles, dtype=int)
             vecs[joints, :, :m] = (lam ** -np.arange(s))[:, None, None] * (powers[:s] @ w) / sqrt(s)
             cols[joints, :m] = columns + (m * np.arange(len(cycles)))[:, None, None] + np.arange(m)
@@ -280,11 +279,13 @@ def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_to
     for points on a line (3D) or at one spot, whose rotations about that
     line or spot fix every joint. Independent means rank equals the bar
     count; isostatic means both. The rank is one SVD of the rigidity matrix.
-    The framework is validated, then decided as a stack of one by
+    The framework is validated, scaled by the power of two that brings its
+    largest coordinate into [0.5, 1), then decided as a stack of one by
     rigidity_verdicts.
     """
     framework.validate(framework_tol)
-    return rigidity_verdicts(framework.graph, framework.coords[None], rank_rtol)[0]
+    p = np.ldexp(framework.coords, -np.frexp(np.abs(framework.coords).max(initial=0.0))[1])
+    return rigidity_verdicts(framework.graph, p[None], rank_rtol)[0]
 
 
 def _cpu_count() -> int:

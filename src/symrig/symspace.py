@@ -85,14 +85,12 @@ class ConfigSpaceBasis:
 
         It is the split of the operation whose T_g has the largest order,
         the first in group order on ties. None, for one SVD of R, below
-        PHASE_MIN_COLUMNS columns or when every T_g is the identity.
+        PHASE_MIN_COLUMNS columns.
         """
         if self.dim * self.graph.n < PHASE_MIN_COLUMNS:
             return None
         periods = [phase_period(op, perm) for op, perm in zip(self.group.elements, self.phi.images)]
         best = periods.index(max(periods))
-        if periods[best] == 1:
-            return None
         return phase_split(self.graph, self.group.elements[best], self.phi[best])
 
 

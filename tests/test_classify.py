@@ -185,6 +185,13 @@ class TestHomomorphicSearch:
         graph, coords, group, _ = fixture_framework("c4_gadget")
         assert find_homomorphic_type(graph, coords, group) is None
 
+    @pytest.mark.parametrize("name", [n for n in fixture_names() if load_fixture(n).coords is not None])
+    def test_found_type_is_a_homomorphism(self, name):
+        # trivial coincidence groups included: no type is returned without its table check
+        graph, coords, group, _ = fixture_framework(name)
+        found = find_homomorphic_type(graph, coords, group)
+        assert found is None or is_homomorphism(group, found)
+
     def test_is_homomorphism_detects_failure(self):
         graph, coords, group, _ = fixture_framework("c9_c3")
         _, types = enumerate_types(graph, coords, group, normalized=True)

@@ -87,6 +87,18 @@ def test_given_coords_whose_difference_overflows(tmp_path, capsys):
     assert json.loads(out)["types"] == [{"Id": "id", "C2": "(v1 v2)"}]
 
 
+@pytest.mark.parametrize("scale", [1e300, 8e307])
+def test_given_coords_are_ranked_at_any_scale(tmp_path, capsys, scale):
+    # At 8e307 R's largest singular value overflows; the given framework is ranked at a power-of-two scale.
+    problem = {"dim": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+               "group": {"schoenflies": "C1"}, "type": "auto",
+               "coords": {"a": [scale, 0.0, 0.0], "b": [-scale, 0.0, 0.0], "c": [0.0, scale, 0.0]}}
+    code, out = _run(tmp_path, capsys, problem, "analyze", "--trials", "3")
+    assert code == 0
+    rigidity = json.loads(out)["given_configuration"]["rigidity"]
+    assert (rigidity["rank"], rigidity["affine_span_dim"], rigidity["infinitesimally_rigid"]) == (3, 2, True)
+
+
 def test_analyze_checks_the_type_before_the_trials(tmp_path, capsys):
     # The class is built before it is sampled, so a type that is no automorphism is named first.
     problem = {"dim": 2, "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],

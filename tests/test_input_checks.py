@@ -1,16 +1,21 @@
-"""Bad numbers on the command line and in problem files, and the group validator's error class."""
+"""Bad numbers on the command line, in problem files and in library tolerances, and the group validator's error class."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from symrig._numeric import kernel_basis
 from symrig.cli import main
-from symrig.errors import InvalidGroup, ParseError, SymrigError
+from symrig.errors import BadParam, InvalidGroup, ParseError, SymrigError
+from symrig.graphs import Graph
 from symrig.groups import OrthogonalOp, SymmetryGroup, rot2
 from symrig.oracle import validate_group
 from symrig.problem import load_fixture, parse_problem, serialize_problem
+from symrig.rigidity import Framework, affine_span_dim, rigidity_verdict
+from symrig.symspace import config_space_basis, sym_generic_verdict
 
 SUBCOMMANDS = (["analyze"], ["sample"], ["types"], ["basis"], ["empty-check"], ["svg"],
                ["oracle", "types"], ["oracle", "generic"])
@@ -70,6 +75,30 @@ class TestCliNumbers:
                             "--seed", "0")
         assert code == 0
         assert json.loads(out)["k"] == 6
+
+
+# K4 in the plane: rank 5 of 6 bars
+K4_PLANE = Framework(Graph.complete(4), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.2]]))
+K33 = load_fixture("k33_phi_a")
+RTOL_USES = {
+    "rigidity_verdict": lambda rtol: rigidity_verdict(K4_PLANE, rank_rtol=rtol),
+    "affine_span_dim": lambda rtol: affine_span_dim(K4_PLANE.coords, rtol),
+    "sym_generic_verdict": lambda rtol: sym_generic_verdict(
+        config_space_basis(K33.graph, K33.group, K33.phi), trials=2, rank_rtol=rtol),
+    "kernel_basis": lambda rtol: kernel_basis(np.eye(3), rtol),
+}
+
+
+class TestLibraryTolerances:
+    @pytest.mark.parametrize("use", sorted(RTOL_USES))
+    @pytest.mark.parametrize("rtol", [-1.0, math.nan, math.inf])
+    def test_relative_tolerance_must_be_finite_and_not_negative(self, use, rtol):
+        with pytest.raises(BadParam, match=re.escape(f"rtol must be a finite number >= 0, got {rtol}")):
+            RTOL_USES[use](rtol)
+
+    def test_a_zero_tolerance_is_taken(self):
+        assert rigidity_verdict(K4_PLANE, rank_rtol=0.0).bar_count == 6
+        assert np.array_equal(kernel_basis(np.zeros((2, 3)), 0.0), np.eye(3))
 
 
 class TestFileSeed:

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrig import oracle
 from symrig._numeric import kernel_basis, numeric_rank
 from symrig.classify import enumerate_types, find_base_type
-from symrig.errors import BadParam, CapExceeded, LengthMismatch, NotInSymmetryClass, NotRationalizable
+from symrig.errors import (BadParam, CapExceeded, ExplosionGuard, LengthMismatch, NotInSymmetryClass,
+                           NotRationalizable)
 from symrig.graphs import Graph, Permutation
 from symrig.groups import schoenflies_group
 from symrig.oracle import (
+    _minor_vanishes,
     brute_force_type_search,
     constraint_stack,
     exhaustive_generic_check,
@@ -50,6 +53,15 @@ class TestBruteForceAgainstFast:
         assert brute.valid_sets[1] == ()
         assert brute.types == ()
         assert brute.normalized == ()
+
+    def test_guard_fires_above_the_product_bound(self, monkeypatch):
+        # K3 with every joint at the origin: each of C2's two operations may take any of the 6 automorphisms
+        graph, coords = Graph.complete(3), np.zeros((3, 2))
+        monkeypatch.setattr(oracle, "MAX_TYPE_PRODUCT", 36)
+        assert len(brute_force_type_search(graph, coords, C2).types) == 36
+        monkeypatch.setattr(oracle, "MAX_TYPE_PRODUCT", 35)
+        with pytest.raises(ExplosionGuard, match="type catalog would exceed 35 entries"):
+            brute_force_type_search(graph, coords, C2)
 
     def test_vertex_cap(self):
         graph = Graph.complete(10)
@@ -105,6 +117,14 @@ class TestKernelOracle:
         m = rng.integers(-4, 5, size=(rows, cols)).astype(float)
         assert kernel_oracle(m) == cols - numeric_rank(m)
 
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_kernel_basis_of_no_rows_is_the_identity(self, cols):
+        assert kernel_basis(np.zeros((0, cols))).tobytes() == np.eye(cols).tobytes()
+        assert kernel_basis(np.zeros((0, cols))).shape == (cols, cols)
+
+    def test_kernel_basis_of_a_zero_matrix_is_the_identity(self):
+        assert np.array_equal(kernel_basis(np.zeros((2, 3))), np.eye(3))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 10**6))
     def test_kernel_basis_tall_and_wide(self, rows, cols, seed):
@@ -130,6 +150,9 @@ class TestGenericCheck:
         assert bool(report)
         assert report.failing_minor is None
         assert report.minors_checked > 0
+
+    def test_a_zero_minor_vanishes(self):
+        assert _minor_vanishes(np.zeros((2, 2)))
 
     def test_collinear_triangle_not_generic(self):
         group, images = self.triangle_images()

@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 
 from symrig import rigidity, symspace
 from symrig._numeric import block_rank, numeric_rank
-from symrig.classify import TypeAssignment, find_base_type, verify_type
+from symrig.classify import TypeAssignment, find_base_type, identity_type, verify_type
 from symrig.cli import main
 from symrig.errors import NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, format_cycles
 from symrig.groups import fixed_subspace, schoenflies_group
 from symrig.problem import load_fixture
 from symrig.rigidity import Framework, phase_blocks, phase_period, phase_split, rigidity_matrix
-from symrig.symspace import config_space_basis, draw_samples
+from symrig.symspace import config_space_basis, draw_samples, sym_generic_verdict
 
 GROUPS = [(2, "C2"), (2, "C3"), (2, "C4"), (2, "C6"), (2, "Cs"), (2, "C2v"),
           (3, "C2"), (3, "C3"), (3, "Cs"), (3, "Ci"), (3, "S4"), (3, "C2v"), (3, "D3h")]
@@ -240,6 +240,40 @@ def test_phase_period_is_the_order_of_the_joint_action():
     nine = Permutation(tuple((i + 1) % 9 for i in range(9)))
     assert phase_period(group.elements[1], nine) == 9
     assert phase_period(group.elements[0], Permutation.identity(9)) == 1
+
+
+def test_a_joint_at_the_centre_adds_no_trivial_phase_columns():
+    # A turn by a third has no eigenvalue 1, so the centre's phase-0 eigenspace is empty: phase 0 has the
+    # triangle's 2 columns and phase 1 its 2 and the centre's 1, and the blocks keep R's singular values.
+    def turned(mat):
+        turn = round(math.degrees(math.atan2(mat[1, 0], mat[0, 0])) / 120) % 3
+        return [(i + turn) % 3 for i in range(3)] + [3]
+
+    graph, group, phi = _class(2, "C3", 4, turned, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)])
+    assert [ph.columns for ph in phase_split(graph, group.elements[1], phi[1])] == [2, 3]
+    for f in draw_samples(config_space_basis(graph, group, phi), 3, seed=1):
+        assert_phases_match(graph, group, phi, f)
+
+
+def test_a_free_class_is_split_by_the_identity(monkeypatch):
+    # Every T_g of a C1 class is the identity: its split is one block, R itself, and ranks as one SVD does.
+    n = 22
+    assert 3 * n >= symspace.PHASE_MIN_COLUMNS
+    rng = np.random.default_rng(5)
+    pairs = {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(3 * n)}
+    graph, group = Graph.make(n, sorted(pairs)), schoenflies_group("C1", 3)
+    basis = config_space_basis(graph, group, identity_type(group, n))
+    f = draw_samples(basis, 1, seed=4)[0]
+    ((block, multiplicity),) = phase_blocks(f.coords, basis.phases)
+    assert multiplicity == 1
+    assert block.shape == rigidity_matrix(f).shape
+    assert block.tobytes() == rigidity_matrix(f).tobytes()
+
+    split = sym_generic_verdict(basis, trials=5, seed=2)
+    monkeypatch.setattr(symspace, "PHASE_MIN_COLUMNS", 10**9)
+    one_svd = sym_generic_verdict(config_space_basis(graph, group, identity_type(group, n)), trials=5, seed=2)
+    assert split.ranks == one_svd.ranks
+    assert split.witness.tobytes() == one_svd.witness.tobytes()
 
 
 def test_split_rejects_a_permutation_that_breaks_a_bar():

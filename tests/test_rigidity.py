@@ -138,6 +138,11 @@ class TestAffineSpan:
         assert affine_span_dim(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])) == 1
         assert affine_span_dim(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])) == 2
 
+    def test_single_joint_stack(self):
+        span = affine_span_dim(np.ones((4, 1, 3)))
+        assert span.dtype.kind == "i"
+        assert span.tolist() == [0, 0, 0, 0]
+
     def test_translation_invariant(self):
         p = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert affine_span_dim(p + 100.0) == 1
@@ -171,6 +176,13 @@ class TestVerdicts:
         assert rep.rank == 2
         assert rep.affine_span_dim == 1
         assert not rep.infinitesimally_rigid
+
+    @pytest.mark.parametrize("scale", [1e300, 8e307])
+    def test_huge_coordinates_are_ranked(self, scale):
+        # at 8e307 the largest singular value of R overflows to inf unless the coordinates are scaled first
+        p = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]]) * scale
+        rep = rigidity_verdict(Framework(TRIANGLE, p))
+        assert (rep.rank, rep.affine_span_dim, rep.infinitesimally_rigid) == (3, 2, True)
 
     def test_k4_space_isostatic(self):
         g = Graph.complete(4)

@@ -1,0 +1,23 @@
+"""The repository's tools, loaded by path: tools/ is not a package."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import symrig
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_api_surface_has_one_line_per_public_name_in_order():
+    lines = _load("api_surface").surface(symrig)
+    assert [line.split(" ", 1)[0] for line in lines] == list(symrig.__all__)
+    assert f"rigidity_verdict function {inspect.signature(symrig.rigidity_verdict)}" in lines
+    assert lines[symrig.__all__.index("__version__")] == "__version__ str"
