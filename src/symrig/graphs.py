@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain
 from math import lcm
 
@@ -192,9 +193,14 @@ def bar_vectors(graph: Graph, p: np.ndarray) -> np.ndarray:
     return diff
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of v[..., d], folded with hypot: no square overflows, as a norm's do beyond about 1e154."""
+    return reduce(np.hypot, np.moveaxis(v, -1, 0))
+
+
 def short_bars(graph: Graph, p: np.ndarray, tol: float) -> np.ndarray:
     """The rows of graph.bars whose endpoints lie within tol of each other in p[n, d]."""
-    return graph.bars[np.linalg.norm(bar_vectors(graph, p), axis=-1) <= tol]
+    return graph.bars[_lengths(bar_vectors(graph, p)) <= tol]
 
 
 def automorphisms(graph: Graph, allowed=None) -> list[Permutation]:
@@ -237,7 +243,7 @@ def iter_automorphisms(graph: Graph, allowed=None):
 
 def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.ndarray:
     """The boolean matrix of targets[..., v, :] lying within tol of joint coords[w], shape [..., n, n]."""
-    return np.linalg.norm(targets[..., :, None, :] - coords, axis=-1) <= tol
+    return _lengths(targets[..., :, None, :] - coords) <= tol
 
 
 def coincidence_automorphisms(graph: Graph, coords: np.ndarray) -> list[Permutation]:

@@ -24,9 +24,11 @@ so a grid boundary can cost time but never change a match. Groups given as
 explicit lists (the C/Cv/D/... catalog families and user-built
 SymmetryGroups) look up all |S|^2 products this way. The closure
 (close_group) files only the products of elements with generators, walking
-the Cayley graph, and composes the rest of the multiplication table from
-those integers; one chunked pass checks the table against the float
-products. index_of, called only to restrict a type to a subgroup, scans.
+the Cayley graph breadth first, numbers the elements in the order the walk
+finds them, and composes the rest of the multiplication table from those
+integers; one chunked pass checks the table against the float products.
+A label that several elements share is numbered b#1, b#2, ... in element
+order. index_of, called only to restrict a type to a subgroup, scans.
 """
 
 from __future__ import annotations
@@ -365,10 +367,11 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     A breadth-first walk of the right Cayley graph forms and files by key
     only the |S| |gens| products x s, which give the maps R_s: x -> x s; the
     rest of the table is integer composition, a y = R_s[a x] when y was
-    reached as x s. The element order and bits are those of a row-by-row
-    closure (identity, distinct generators, then each element as first
-    formed by g e, then e g, for e up to g), replayed on the integer table;
-    a chunked pass checks every table entry against its float product.
+    reached as x s. Elements are numbered as the walk finds them: the
+    identity, the distinct generators in list order, then one level at a
+    time, each level's products x s in order of x, then of s. An element's
+    bits are those of the snapped product it was first found as; a chunked
+    pass checks every table entry against its float product.
     Raises NotClosedWithinBound once more than max_order distinct elements
     exist, at once for a generator of higher order, and for max_order < 1.
     """
@@ -396,7 +399,7 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     right = np.empty((n_gens, max_order), dtype=int)
     levels, frontier = [], np.zeros(1, dtype=int)
     while frontier.size:
-        flat = (found[frontier][:, None] @ checked).reshape(-1, dim * dim)
+        flat = snap_matrix((found[frontier][:, None] @ checked).reshape(-1, dim * dim))
         keys = _keys(flat)
         idx = np.array([by_key.get(key, -1) for key in keys])
         suspect = (idx < 0) | (np.abs(flat - found.reshape(max_order, -1)[idx]).max(axis=1) > MATCH_TOL)
@@ -422,41 +425,11 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
         new = np.array(new, dtype=int)
         levels.append((np.arange(count - len(new), count), frontier[new // n_gens], new % n_gens))
         frontier = levels[-1][0]
-    walk = np.empty((count, count), dtype=int)  # the product table in the walk's numbering
-    walk[:, 0] = np.arange(count)
+    table = np.empty((count, count), dtype=int)  # a y = R_s[a x], a level at a time
+    table[:, 0] = np.arange(count)
     for ys, xs, ss in levels:
-        walk[:, ys] = right[ss, walk[:, xs]]
-
-    # The row-by-row order on the integer table; pairs[i] = (a, b) if element i was first formed as a b.
-    first = {}  # each distinct generator's first position in the list
-    for t, k in enumerate(right[:, 0].tolist()):
-        first.setdefault(k, t)
-    first.pop(0, None)
-    order, walk_rows, row = [0, *first], walk.tolist(), 1
-    pairs, placed = [(-1, -1)] * len(order), set(order)
-    while len(order) < count:
-        g = order[row]
-        for j, e in enumerate(order[:row + 1]):
-            for k, pair in ((walk_rows[g][e], (row, j)), (walk_rows[e][g], (j, row))):
-                if k not in placed:
-                    placed.add(k)
-                    order.append(k)
-                    pairs.append(pair)
-        row += 1
-    # The bits in waves: an element first formed in row r needs the bits of elements 0..r only.
-    bits, known = np.empty((count, dim, dim)), len(first) + 1
-    bits[0], bits[1:known] = np.eye(dim), checked[list(first.values())]
-    pairs = np.array(pairs)
-    formed_in = pairs.max(axis=1)
-    while known < count:
-        stop = int(np.searchsorted(formed_in, known))
-        a, b = pairs[known:stop].T
-        bits[known:stop] = snap_matrix(bits[a] @ bits[b])
-        known = stop
-    perm = np.array(order)
-    rank = np.empty(count, dtype=int)
-    rank[perm] = np.arange(count)
-    table = rank[walk[perm][:, perm]]
+        table[:, ys] = right[ss, table[:, xs]]
+    bits = found[:count]
 
     # Every entry within MATCH_TOL of its float product. With columns[a, k, c] = bits[k, a, c],
     # row (a, i) of columns[:, rows] times the d x (count d) columns holds bits[i] bits[j] in block j.

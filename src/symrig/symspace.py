@@ -288,6 +288,7 @@ def sym_generic_verdict(
     """
     if trials < 1:
         raise BadParam(f"trials must be at least 1, got {trials}")
+    _numeric._check_rtol(rank_rtol)  # an empty class takes no rank, so the tolerance is checked here
     rng = _rng(seed)
     empty, offending = class_is_empty(basis)
     if empty:

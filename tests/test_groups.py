@@ -350,8 +350,9 @@ class TestGroupMachinery:
 def reference_closure(generators, max_order=200):
     """List-frontier closure: pop a product, keep it if no element matches.
 
-    Slow, and kept as the reference for the element order (and so the
-    labels) that close_group must reproduce.
+    Slow, and kept as the reference for the elements and the table that
+    close_group must reproduce, up to the order of the elements. Where
+    every element is a generator, both list them in the same order.
     """
     checked = [OrthogonalOp(g).matrix for g in generators]
     elems = [np.eye(checked[0].shape[0])]
@@ -380,6 +381,15 @@ def assert_same_elements(group, reference):
     assert np.array_equal(group.table, match_table(group.matrices()))
 
 
+def assert_same_group(group, reference):
+    """The same elements at MATCH_TOL, the identity first, and the same table up to the order of the elements."""
+    perm = _match(reference.matrices(), group.matrices())  # perm[i]: the group's index of reference element i
+    assert perm[0] == 0 and sorted(perm.tolist()) == list(range(len(group)))
+    assert np.abs(group.matrices()[perm] - reference.matrices()).max() <= MATCH_TOL
+    assert np.array_equal(group.table[perm][:, perm], perm[reference.table])
+    assert np.array_equal(group.table, match_table(group.matrices()))
+
+
 GOLDEN = (1 + math.sqrt(5)) / 2
 IH_STYLE = [rot3((0, 1, GOLDEN), 2 * math.pi / 5), np.diag([-1.0, -1.0, 1.0]), -np.eye(3),
             rot3((1, 1, 1), 2 * math.pi / 3), mirror3((1, 0, 0)), rot3((0, 1, GOLDEN), 4 * math.pi / 5)]
@@ -403,12 +413,12 @@ class TestTableClosure:
     @pytest.mark.parametrize("name", ["T", "Td", "Th", "O", "Oh", "I", "Ih"])
     def test_polyhedral_catalog_matches_reference(self, name):
         reference = reference_closure(_POLYHEDRAL_GENS[name]())
-        assert_same_elements(schoenflies_group(name, 3), reference)
+        assert_same_group(schoenflies_group(name, 3), reference)
 
     @pytest.mark.parametrize("key", sorted(GENERATOR_LISTS))
     def test_generator_lists_match_reference(self, key):
         gens = GENERATOR_LISTS[key]
-        assert_same_elements(close_group(gens), reference_closure(gens))
+        assert_same_group(close_group(gens), reference_closure(gens))
 
     @pytest.mark.parametrize("max_order", [0, 1, 3, 4, 50])
     def test_bound_matches_reference(self, max_order):
@@ -442,7 +452,23 @@ class TestTableClosure:
         rng = np.random.default_rng(seed)
         q = rot3(rng.normal(size=3), rng.uniform(0.1, math.pi))
         gens = [q @ g @ q.T for g in _POLYHEDRAL_GENS[name]()]
-        assert_same_elements(close_group(gens), reference_closure(gens))
+        assert_same_group(close_group(gens), reference_closure(gens))
+
+    def test_elements_come_in_walk_order(self):
+        # The identity, the distinct generators in list order, then a level of the Cayley walk at a time.
+        gens = [OrthogonalOp(g).matrix for g in _POLYHEDRAL_GENS["T"]()]
+        order, level = [np.eye(3)], [np.eye(3)]
+        while level:
+            found = []
+            for p in (snap_matrix(x @ s) for x in level for s in gens):
+                if np.abs(np.stack(order) - p).max(axis=(1, 2)).min() > MATCH_TOL:
+                    order.append(p)
+                    found.append(p)
+            level = found
+        group = close_group(gens)
+        assert np.array_equal(group.matrices(), np.stack(order))
+        assert group.labels == ("Id", "C2#1", "C3#1", "C3#2", "C3^2#1", "C3^2#2", "C3^2#3", "C3#3", "C3#4",
+                                "C3^2#4", "C2#2", "C2#3")
 
     @pytest.mark.parametrize("name", ["C6v", "D3h", "Oh"])
     def test_table_matches_matrix_products(self, name):

@@ -80,12 +80,15 @@ class TestCliNumbers:
 # K4 in the plane: rank 5 of 6 bars
 K4_PLANE = Framework(Graph.complete(4), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.2]]))
 K33 = load_fixture("k33_phi_a")
+K2_IDENTITY = load_fixture("k2_c2_identity")  # an empty class: its bar is forced to zero length
 RTOL_USES = {
     "rigidity_verdict": lambda rtol: rigidity_verdict(K4_PLANE, rank_rtol=rtol),
     "affine_span_dim": lambda rtol: affine_span_dim(K4_PLANE.coords, rtol),
     "sym_generic_verdict": lambda rtol: sym_generic_verdict(
         config_space_basis(K33.graph, K33.group, K33.phi), trials=2, rank_rtol=rtol),
     "kernel_basis": lambda rtol: kernel_basis(np.eye(3), rtol),
+    "sym_generic_verdict of an empty class": lambda rtol: sym_generic_verdict(
+        config_space_basis(K2_IDENTITY.graph, K2_IDENTITY.group, K2_IDENTITY.phi), trials=2, rank_rtol=rtol),
 }
 
 
