@@ -24,10 +24,10 @@ def chunks(count: int, cells: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _check_rtol(rtol: float) -> None:
-    """Reject a relative tolerance that is not a finite number >= 0."""
-    if not (math.isfinite(rtol) and rtol >= 0):
-        raise BadParam(f"rtol must be a finite number >= 0, got {rtol}")
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance, relative ("rtol") or a distance, that is not a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadParam(f"{name} must be a finite number >= 0, got {tol}")
 
 
 def block_rank(blocks, rtol: float = 1e-8):
@@ -41,7 +41,7 @@ def block_rank(blocks, rtol: float = 1e-8):
     and the ranks come back as an integer array of the leading shape.
     blocks may be an iterable that builds each block once the last is dropped.
     """
-    _check_rtol(rtol)
+    _check_tol(rtol, "rtol")
     lead, sigmas = (), []
     for block, mult in blocks:
         lead = block.shape[:-2]  # from empty blocks too: a class without bars has one rank per member
@@ -67,7 +67,7 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     A matrix with no rows constrains nothing: numpy's full V of it is the
     identity, the canonical basis of the whole space.
     """
-    _check_rtol(rtol)
+    _check_tol(rtol, "rtol")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("kernel_basis expects a 2d array")

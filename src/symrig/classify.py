@@ -24,12 +24,11 @@ from math import prod
 
 import numpy as np
 
-from ._numeric import chunks
+from ._numeric import _check_tol, chunks
 from .errors import (
     DimensionMismatch,
     ExplosionGuard,
     LengthMismatch,
-    NotAnAutomorphism,
     NotInSymmetryClass,
     UnknownName,
 )
@@ -112,6 +111,7 @@ def _read_images(graph: Graph, coords: np.ndarray, group: SymmetryGroup, tol: fl
     the n x n match matrix for the constrained search. None when p is not
     a framework or some element has no valid choice.
     """
+    _check_tol(tol)
     p = _check_shapes(graph, coords, group)
     if len(short_bars(graph, p, tol)):
         return None
@@ -133,22 +133,14 @@ def _first_choices(graph: Graph, read: list | None) -> tuple[Permutation, ...] |
     return None if None in firsts else tuple(firsts)
 
 
-def verify_type(
-    graph: Graph,
-    coords: np.ndarray,
-    group: SymmetryGroup,
-    phi: TypeAssignment,
-    tol: float = 1e-8,
-) -> bool:
-    """Check x(p(v)) = p(phi_x(v)) for all x and v, and that bars have length > tol."""
+def verify_type(basis: ConfigSpaceBasis, coords: np.ndarray, tol: float = 1e-8) -> bool:
+    """Check x(p(v)) = p(phi_x(v)) for all x and v of the class, and that bars have length > tol.
+
+    The class's type was checked against its graph and group when config_space_basis built it.
+    """
+    _check_tol(tol)
+    graph, group, phi = basis.graph, basis.group, basis.phi
     p = _check_shapes(graph, coords, group)
-    if len(phi) != len(group):
-        raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
-    mapped = is_automorphism(graph, phi.array)
-    if not mapped.all():
-        x = int(np.argmin(mapped))
-        cycles = format_cycles(phi[x], graph.labels)
-        raise NotAnAutomorphism(f"image for {group.elements[x].label} is not an automorphism: {cycles}")
     moved = p @ np.swapaxes(group.matrices(), 1, 2)
     return not len(short_bars(graph, p, tol)) and bool((np.linalg.norm(moved - p[phi.array], axis=-1) <= tol).all())
 

@@ -11,12 +11,12 @@ import argparse
 import ctypes
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
+from ._numeric import _check_tol
 from .classify import (
     TypeAssignment,
     enumerate_types,
@@ -42,8 +42,7 @@ from .svg import render_svg
 def _check_numbers(args) -> None:
     """Reject a tolerance that is not a finite number >= 0, and a negative seed."""
     for flag, value in (("--tol-rank", args.tol_rank), ("--tol-geom", args.tol_geom)):
-        if not (math.isfinite(value) and value >= 0):
-            raise BadParam(f"{flag} must be a finite number >= 0, got {value}")
+        _check_tol(value, flag)
     if args.seed is not None and args.seed < 0:
         raise BadParam(f"--seed must be >= 0, got {args.seed}")
 
@@ -141,8 +140,7 @@ def cmd_analyze(problem: ProblemFile, args) -> str:
         "verdict": report.to_dict(problem.graph.labels),
     }
     if problem.coords is not None:
-        section = {"satisfies_type": verify_type(problem.graph, problem.coords,
-                                                 problem.group, phi, args.tol_geom)}
+        section = {"satisfies_type": verify_type(basis, problem.coords, args.tol_geom)}
         try:
             framework = Framework(problem.graph, problem.coords)
             section["rigidity"] = rigidity_verdict(framework, args.tol_rank, args.tol_geom).to_dict()

@@ -189,7 +189,8 @@ def is_automorphism(graph: Graph, perm):
 def bar_vectors(graph: Graph, p: np.ndarray) -> np.ndarray:
     """p_u - p_v for every bar {u, v} of graph, over coordinates p[..., n, d]."""
     diff = p[..., graph.bars[:, 0], :]
-    diff -= p[..., graph.bars[:, 1], :]  # in place: a stack of differences is built once
+    with np.errstate(over="ignore"):  # an overflowing difference is an infinite length, which no tolerance accepts
+        diff -= p[..., graph.bars[:, 1], :]  # in place: a stack of differences is built once
     return diff
 
 
@@ -243,7 +244,8 @@ def iter_automorphisms(graph: Graph, allowed=None):
 
 def joint_matches(targets: np.ndarray, coords: np.ndarray, tol: float) -> np.ndarray:
     """The boolean matrix of targets[..., v, :] lying within tol of joint coords[w], shape [..., n, n]."""
-    return _lengths(targets[..., :, None, :] - coords) <= tol
+    with np.errstate(over="ignore"):  # as in bar_vectors: an overflow is an infinite distance, never a match
+        return _lengths(targets[..., :, None, :] - coords) <= tol
 
 
 def coincidence_automorphisms(graph: Graph, coords: np.ndarray) -> list[Permutation]:

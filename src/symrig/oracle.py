@@ -18,7 +18,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from ._numeric import kernel_basis
+from ._numeric import _check_tol, kernel_basis
 from .classify import MAX_TYPE_PRODUCT, TypeAssignment
 from .errors import (BadParam, CapExceeded, ExplosionGuard, InvalidGroup, LengthMismatch, NotInSymmetryClass,
                      NotRationalizable)
@@ -208,6 +208,7 @@ def exhaustive_generic_check(
     """
     if evals < 1:
         raise BadParam(f"evals must be at least 1, got {evals}")
+    _check_tol(tol)
     p = np.asarray(coords, dtype=float)
     n, d = p.shape
     if n > GENERIC_MAX_VERTICES:

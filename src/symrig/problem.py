@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import TypeAssignment
 from .errors import BadParam, BadPermutation, InvalidGraph, ParseError, SymrigError, UnknownGroup, UnknownName
-from .graphs import Graph, Permutation, format_cycles, parse_cycles
+from .graphs import Graph, Permutation, parse_cycles
 from .groups import SymmetryGroup, close_group, schoenflies_group
 
 TOP_FIELDS = {"name", "description", "dim", "vertices", "edges", "group", "type", "coords", "seed"}
@@ -214,12 +214,9 @@ def serialize_problem(problem: ProblemFile) -> dict:
     out["group"] = problem.group_spec
     if problem.type_mode == "explicit":
         assert problem.phi is not None
-        mapping = {}
-        for i, label in enumerate(problem.group.labels):
-            if i == 0 and not problem.has_identity_entry:
-                continue
-            mapping[label] = format_cycles(problem.phi[i], problem.graph.labels)
-        out["type"] = mapping
+        out["type"] = problem.phi.as_dict(problem.group, problem.graph)
+        if not problem.has_identity_entry:
+            del out["type"][problem.group.labels[0]]
     else:
         out["type"] = problem.type_mode
     if problem.coords is not None:

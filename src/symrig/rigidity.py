@@ -283,6 +283,7 @@ def rigidity_verdict(framework: Framework, rank_rtol: float = 1e-8, framework_to
     largest coordinate into [0.5, 1), then decided as a stack of one by
     rigidity_verdicts.
     """
+    _numeric._check_tol(framework_tol)
     framework.validate(framework_tol)
     p = np.ldexp(framework.coords, -np.frexp(np.abs(framework.coords).max(initial=0.0))[1])
     return rigidity_verdicts(framework.graph, p[None], rank_rtol)[0]

@@ -228,6 +228,7 @@ def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_t
     """count frameworks from the stream of random.Random(seed), deterministic for a seed (an int >= 0)."""
     if count < 1:
         raise BadParam(f"count must be at least 1, got {count}")
+    _numeric._check_tol(framework_tol)
     rng = _rng(seed)
     return [Framework(basis.graph, coords) for chunk in _draws(basis, rng, count, framework_tol) for coords in chunk]
 
@@ -288,7 +289,8 @@ def sym_generic_verdict(
     """
     if trials < 1:
         raise BadParam(f"trials must be at least 1, got {trials}")
-    _numeric._check_rtol(rank_rtol)  # an empty class takes no rank, so the tolerance is checked here
+    _numeric._check_tol(rank_rtol, "rtol")  # an empty class neither ranks nor draws: both are checked here
+    _numeric._check_tol(framework_tol)
     rng = _rng(seed)
     empty, offending = class_is_empty(basis)
     if empty:

@@ -28,6 +28,7 @@ from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
 from symrig.oracle import brute_force_type_search
 from symrig.problem import fixture_names, load_fixture
+from symrig.symspace import config_space_basis
 
 CS = schoenflies_group("Cs", 2)
 C2 = schoenflies_group("C2", 2)
@@ -45,31 +46,31 @@ def fixture_framework(name):
 class TestVerifyType:
     def test_mirror_pair_holds(self):
         graph, coords, group, phi = fixture_framework("k33_phi_a")
-        assert verify_type(graph, coords, group, phi)
+        assert verify_type(config_space_basis(graph, group, phi), coords)
 
     def test_wrong_coords_fail(self):
         graph, coords, group, phi = fixture_framework("k33_phi_a")
         bad = coords.copy()
         bad[0] += 0.25
-        assert not verify_type(graph, bad, group, phi)
+        assert not verify_type(config_space_basis(graph, group, phi), bad)
 
     def test_non_automorphism_rejected(self):
         graph, coords, group, _ = fixture_framework("k33_phi_a")
         # a single swap across the bipartition does not preserve the edge set
         broken = TypeAssignment((Permutation.identity(6), perm("(v1 v4)", 6)))
         with pytest.raises(NotAnAutomorphism):
-            verify_type(graph, coords, group, broken)
+            verify_type(config_space_basis(graph, group, broken), coords)
 
     def test_assignment_length_checked(self):
         graph, coords, group, _ = fixture_framework("k33_phi_a")
         short = TypeAssignment((Permutation.identity(6),))
         with pytest.raises(LengthMismatch):
-            verify_type(graph, coords, group, short)
+            verify_type(config_space_basis(graph, group, short), coords)
 
     def test_collapsed_bar_fails(self):
         graph, _, group, _ = fixture_framework("k3_c2_swap")
         coords = np.zeros((3, 2))
-        assert not verify_type(graph, coords, group, identity_type(group, 3))
+        assert not verify_type(config_space_basis(graph, group, identity_type(group, 3)), coords)
 
 
 class TestDeclaredTypes:
@@ -95,14 +96,14 @@ class TestDeclaredTypes:
     def test_declared_type_verifies(self, name):
         graph, coords, group, phi = fixture_framework(name)
         assert coords is not None and phi is not None
-        assert verify_type(graph, coords, group, phi)
+        assert verify_type(config_space_basis(graph, group, phi), coords)
 
     @pytest.mark.parametrize("name", EXPLICIT)
     def test_find_base_type_gives_valid_witness(self, name):
         graph, coords, group, _ = fixture_framework(name)
         found = find_base_type(graph, coords, group)
         assert found is not None
-        assert verify_type(graph, coords, group, found)
+        assert verify_type(config_space_basis(graph, group, found), coords)
 
     def test_no_witness_returns_none(self):
         graph = Graph.make(2, [(0, 1)])
@@ -155,7 +156,7 @@ class TestEnumeration:
         graph, coords, group, _ = fixture_framework("gt_c2")
         _, types = enumerate_types(graph, coords, group)
         for t in types:
-            assert verify_type(graph, coords, group, t)
+            assert verify_type(config_space_basis(graph, group, t), coords)
 
     def test_explosion_guard(self):
         graph, coords, group, _ = fixture_framework("c9_c3")
@@ -175,7 +176,7 @@ class TestHomomorphicSearch:
         found = find_homomorphic_type(graph, coords, group)
         assert found is not None
         assert is_homomorphism(group, found)
-        assert verify_type(graph, coords, group, found)
+        assert verify_type(config_space_basis(graph, group, found), coords)
 
     def test_coincident_cycle_has_none(self):
         graph, coords, group, _ = fixture_framework("c9_c3")
@@ -198,7 +199,7 @@ class TestHomomorphicSearch:
         assert not any(is_homomorphism(group, t) for t in types)
         # each entry still satisfies the pointwise coordinate equations
         for t in types:
-            assert verify_type(graph, coords, group, t)
+            assert verify_type(config_space_basis(graph, group, t), coords)
 
     def test_identity_type_is_homomorphism(self):
         assert is_homomorphism(C2, identity_type(C2, 5))
@@ -396,13 +397,13 @@ class TestRestriction:
         restricted = restrict_type(group, phi, sub)
         assert restricted.images[0].is_identity()
         assert restricted.images[1] == phi.images[group.label_index("s(0)")]
-        assert verify_type(graph, coords, sub, restricted)
+        assert verify_type(config_space_basis(graph, sub, restricted), coords)
 
     def test_c2v_down_to_half_turn(self):
         graph, coords, group, phi = fixture_framework("k33_c2v")
         restricted = restrict_type(group, phi, C2)
         assert restricted.images[1] == phi.images[group.label_index("C2")]
-        assert verify_type(graph, coords, C2, restricted)
+        assert verify_type(config_space_basis(graph, C2, restricted), coords)
 
     def test_missing_element_raises(self):
         _, _, group, phi = fixture_framework("k33_phi_a")
@@ -447,18 +448,20 @@ class TestDirectReads:
         auts = graphs.automorphisms(graph)
         phi = TypeAssignment(tuple(data.draw(st.sampled_from(auts)) for _ in group.elements))
         for candidate in (base, phi):
-            assert verify_type(graph, coords, group, candidate) == reference_verify_type(graph, coords, group, candidate)
+            expected = reference_verify_type(graph, coords, group, candidate)
+            assert verify_type(config_space_basis(graph, group, candidate), coords) == expected
 
     def test_non_automorphism_named_by_its_element(self):
         graph, coords, group, phi = fixture_framework("k33_phi_a")
         broken = TypeAssignment((phi[0], perm("(v1 v4)", 6)))
         with pytest.raises(NotAnAutomorphism, match=group.elements[1].label):
-            verify_type(graph, coords, group, broken)
+            verify_type(config_space_basis(graph, group, broken), coords)
 
     def test_images_of_another_length(self):
         graph, coords, group, _ = fixture_framework("k33_phi_a")
         with pytest.raises(LengthMismatch):
-            verify_type(graph, coords, group, TypeAssignment((Permutation.identity(6), Permutation.identity(5))))
+            ragged = TypeAssignment((Permutation.identity(6), Permutation.identity(5)))
+            verify_type(config_space_basis(graph, group, ragged), coords)
 
 
 def c3_placement(orbits, seed):
@@ -487,7 +490,7 @@ class TestAutoTypeAtScale:
         assert phi.images == (Permutation.identity(30), rotate, rotate.compose(rotate))
         catalog, types = enumerate_types(graph, coords, group)
         assert catalog.count == 1 and types == [phi]
-        assert verify_type(graph, coords, group, phi)
+        assert verify_type(config_space_basis(graph, group, phi), coords)
 
     def test_thirty_joint_placement_analyzes_on_the_cli(self, tmp_path, capsys):
         from symrig.cli import main

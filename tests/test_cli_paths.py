@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import symrig
-from symrig import cli
+from symrig import classify, cli, symspace
 from symrig.classify import enumerate_types, find_base_type, verify_type
 from symrig.cli import main
 from symrig.errors import DimensionMismatch, LengthMismatch
 from symrig.graphs import Graph
 from symrig.groups import schoenflies_group
 from symrig.problem import load_fixture, parse_problem, serialize_problem
+from symrig.symspace import config_space_basis
 
 PLACED_FIXTURES = [name for name in symrig.fixture_names() if load_fixture(name).coords is not None]
 SRC = str(Path(symrig.__file__).resolve().parent.parent)
@@ -73,6 +74,7 @@ def test_analyze_reports_given_coords_that_collapse_a_bar(tmp_path, capsys):
     assert payload["verdict"]["isostatic"]  # the class itself is a bar through the centre
 
 
+@pytest.mark.filterwarnings("error")
 def test_given_coords_whose_difference_overflows(tmp_path, capsys):
     # Each coordinate is finite, but v1 - v2 is not: analyze reports it as it reports a collapsed bar.
     problem = dict(BAR, type={"C2": "(v1 v2)"}, coords={"v1": [1e308, 0.0], "v2": [-1e308, 0.0]})
@@ -166,11 +168,16 @@ def test_a_type_without_an_identity_entry_round_trips_without_it():
 def test_classify_rejects_coords_of_the_wrong_shape(check):
     graph = Graph.make(3, [(0, 1), (1, 2)])
     group = schoenflies_group("C2", 2)
-    args = (group, symrig.identity_type(group, 3)) if check is verify_type else (group,)
+
+    def call(coords):
+        if check is verify_type:  # a class check: it takes the class and the coordinates
+            return verify_type(config_space_basis(graph, group, symrig.identity_type(group, 3)), coords)
+        return check(graph, coords, group)
+
     with pytest.raises(LengthMismatch, match=r"expected coordinates of shape \(3, d\), got \(2, 2\)"):
-        check(graph, np.zeros((2, 2)), *args)
+        call(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch, match="coordinates are 3d but the group acts on 2d"):
-        check(graph, np.zeros((3, 3)), *args)
+        call(np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("name", PLACED_FIXTURES)
@@ -190,6 +197,18 @@ def test_oracle_types_enumerates_the_catalog_once(capsys, monkeypatch):
     assert len(calls) == 1
     assert payload["match"] and payload["normalized_match"]
     assert payload["fast_normalized_count"] == payload["brute_normalized_count"] < payload["fast_count"]
+
+
+@pytest.mark.parametrize("name, passes", [("k33_phi_a", 1), ("gt_c2", 2)])
+def test_analyze_checks_a_type_once_per_search_and_once_per_class(capsys, monkeypatch, name, passes):
+    # An explicit type is checked when the class is built; an auto type also when it is read from the joints.
+    calls = []
+    for module in (classify, symspace):
+        check = module.is_automorphism
+        monkeypatch.setattr(module, "is_automorphism", lambda *a, check=check: calls.append(1) or check(*a))
+    assert main(["analyze", "--fixture", name, "--trials", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["given_configuration"]["satisfies_type"]
+    assert len(calls) == passes
 
 
 # --- the BLAS thread pin -------------------------------------------------------------------------------------------

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from symrig._numeric import kernel_basis
+from symrig.classify import enumerate_types, find_base_type, find_homomorphic_type, verify_type
 from symrig.cli import main
 from symrig.errors import BadParam, InvalidGroup, ParseError, SymrigError
 from symrig.graphs import Graph
 from symrig.groups import OrthogonalOp, SymmetryGroup, rot2
-from symrig.oracle import validate_group
+from symrig.oracle import exhaustive_generic_check, validate_group
 from symrig.problem import load_fixture, parse_problem, serialize_problem
 from symrig.rigidity import Framework, affine_span_dim, rigidity_verdict
-from symrig.symspace import config_space_basis, sym_generic_verdict
+from symrig.symspace import config_space_basis, draw_samples, sample_config, sym_generic_verdict
 
 SUBCOMMANDS = (["analyze"], ["sample"], ["types"], ["basis"], ["empty-check"], ["svg"],
                ["oracle", "types"], ["oracle", "generic"])
@@ -90,6 +91,26 @@ RTOL_USES = {
     "sym_generic_verdict of an empty class": lambda rtol: sym_generic_verdict(
         config_space_basis(K2_IDENTITY.graph, K2_IDENTITY.group, K2_IDENTITY.phi), trials=2, rank_rtol=rtol),
 }
+K2_SWAP = load_fixture("k2_c2_swap")  # a non-empty class
+K2_COLLAPSED = Framework(K2_SWAP.graph, np.zeros((2, 2)))  # its bar has length 0
+TOL_USES = {
+    "draw_samples of an empty class": lambda tol: draw_samples(_basis(K2_IDENTITY), 1, framework_tol=tol),
+    "sample_config": lambda tol: sample_config(_basis(K2_SWAP), framework_tol=tol),
+    "sym_generic_verdict": lambda tol: sym_generic_verdict(_basis(K2_SWAP), trials=2, framework_tol=tol),
+    "sym_generic_verdict of an empty class": lambda tol: sym_generic_verdict(
+        _basis(K2_IDENTITY), trials=2, framework_tol=tol),
+    "rigidity_verdict": lambda tol: rigidity_verdict(K2_COLLAPSED, framework_tol=tol),
+    "verify_type": lambda tol: verify_type(_basis(K33), K33.coords, tol),
+    "find_base_type": lambda tol: find_base_type(K33.graph, K33.coords, K33.group, tol),
+    "enumerate_types": lambda tol: enumerate_types(K33.graph, K33.coords, K33.group, tol),
+    "find_homomorphic_type": lambda tol: find_homomorphic_type(K33.graph, K33.coords, K33.group, tol),
+    "exhaustive_generic_check": lambda tol: exhaustive_generic_check(K2_SWAP.coords, K2_SWAP.group, K2_SWAP.phi.images,
+                                                                     evals=1, tol=tol),
+}
+
+
+def _basis(problem):
+    return config_space_basis(problem.graph, problem.group, problem.phi)
 
 
 class TestLibraryTolerances:
@@ -98,6 +119,15 @@ class TestLibraryTolerances:
     def test_relative_tolerance_must_be_finite_and_not_negative(self, use, rtol):
         with pytest.raises(BadParam, match=re.escape(f"rtol must be a finite number >= 0, got {rtol}")):
             RTOL_USES[use](rtol)
+
+    @pytest.mark.parametrize("use", sorted(TOL_USES))
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_geometric_tolerance_must_be_finite_and_not_negative(self, use, tol):
+        # Each of these once took the value: a bar of length 0 passed at -1 or nan, nan or inf
+        # rejected every draw of a non-empty class as "no valid framework", and the oracle took
+        # any configuration for a member of its class at nan or inf.
+        with pytest.raises(BadParam, match=re.escape(f"tol must be a finite number >= 0, got {tol}")):
+            TOL_USES[use](tol)
 
     def test_a_zero_tolerance_is_taken(self):
         assert rigidity_verdict(K4_PLANE, rank_rtol=0.0).bar_count == 6

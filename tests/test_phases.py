@@ -197,7 +197,7 @@ def test_short_bars_against_unit_coordinates():
     phi = TypeAssignment(tuple(Permutation(tuple(8 * (j // 8) + (j + x) % 8 for j in range(16))) for x in range(8)))
     graph = Graph.make(16, [(i, 8 + i) for i in range(8)])
     f = Framework(graph, coords)
-    assert verify_type(graph, coords, group, phi)
+    assert verify_type(config_space_basis(graph, group, phi), coords)
     sigma = np.linalg.svd(rigidity_matrix(f), compute_uv=False)
     assert assert_phases_match(graph, group, phi, f) > 1e-12 * sigma[0]
 

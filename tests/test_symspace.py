@@ -179,7 +179,7 @@ class TestBasis:
         checks = [
             lambda: config_space_basis(graph, C2, short),
             lambda: exhaustive_generic_check(coords, C2, short.images),
-            lambda: verify_type(graph, coords, C2, short),
+            lambda: verify_type(config_space_basis(graph, C2, short), coords),
             lambda: is_homomorphism(C2, short),
         ]
         for check in checks:

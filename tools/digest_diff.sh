@@ -9,10 +9,12 @@
 # both trees, so both print the same commands and read the same names, with
 # BLAS pinned to one thread and no bytecode written. The script prints
 # `diff REF tree` of the digests, then of the API surfaces, and exits 1 on a
-# difference in either. With --coords-only it compares only the argv, the
-# exit code and the last column (the hash with coordinates removed) of each
-# digest line, for a change meant to move coordinates only. Nothing is
-# written inside the repository.
+# difference in either; last, on stderr, the source size (the total of
+# `wc -l src/symrig/*.py`) at REF and in the working tree. With
+# --coords-only it compares only the argv, the exit code and the last
+# column (the hash with coordinates removed) of each digest line, for a
+# change meant to move coordinates only. Nothing is written inside the
+# repository.
 set -euo pipefail
 
 coords_only=0
@@ -20,7 +22,7 @@ ref=HEAD
 for arg in "$@"; do
     case "$arg" in
         --coords-only) coords_only=1 ;;
-        -h | --help) sed -n '2,15p' "$0" | cut -c3-; exit 0 ;;
+        -h | --help) sed -n '2,17p' "$0" | cut -c3-; exit 0 ;;
         -*) echo "digest_diff.sh: unknown option $arg" >&2; exit 2 ;;
         *) ref=$arg ;;
     esac
@@ -51,4 +53,5 @@ echo "$(wc -l < "$work/tree.txt") digest lines, $ref against the working tree" >
 diff "$work/ref.txt" "$work/tree.txt" || status=1
 echo "$(wc -l < "$work/tree.api") API lines, $ref against the working tree" >&2
 diff "$work/ref.api" "$work/tree.api" || status=1
+echo "wc -l src/symrig/*.py: $(cat "$work"/ref/src/symrig/*.py | wc -l) at $ref, $(cat "$root"/src/symrig/*.py | wc -l) in the working tree" >&2
 exit "$status"
