@@ -30,7 +30,6 @@ from .errors import (
     ExplosionGuard,
     LengthMismatch,
     NotInSymmetryClass,
-    UnknownName,
 )
 from .graphs import (
     Graph,
@@ -42,6 +41,7 @@ from .graphs import (
     iter_automorphisms,
     joint_matches,
     short_bars,
+    _lengths,
 )
 from .groups import SymmetryGroup
 
@@ -142,7 +142,7 @@ def verify_type(basis: ConfigSpaceBasis, coords: np.ndarray, tol: float = 1e-8) 
     graph, group, phi = basis.graph, basis.group, basis.phi
     p = _check_shapes(graph, coords, group)
     moved = p @ np.swapaxes(group.matrices(), 1, 2)
-    return not len(short_bars(graph, p, tol)) and bool((np.linalg.norm(moved - p[phi.array], axis=-1) <= tol).all())
+    return not len(short_bars(graph, p, tol)) and bool((_lengths(moved - p[phi.array]) <= tol).all())
 
 
 def find_base_type(
@@ -179,7 +179,7 @@ def enumerate_types(
     firsts = _first_choices(graph, read)
     if firsts is None:
         raise NotInSymmetryClass("the realization admits no type for this group")
-    free = len(group) - 1 if normalized else len(group)
+    free = max(len(group) - 1, 1) if normalized else len(group)  # the listing of Aut(G,p) itself is bounded too
     search = firsts[:1] if isinstance(read[0], Permutation) else iter_automorphisms(graph, allowed=read[0])
     coincidence = []
     for gamma in search:
@@ -205,8 +205,6 @@ def is_homomorphism(group: SymmetryGroup, phi: TypeAssignment) -> bool:
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
     images = phi.array
-    if np.any(group.table < 0):
-        raise UnknownName(f"{group.name or 'group'} is not closed under products")
     return all(np.array_equal(images[row], images[i][images]) for i, row in enumerate(group.table))
 
 

@@ -6,7 +6,7 @@ Orientation conventions, fixed for the whole library:
   * 3d: the principal rotation axis is z; the default Cs mirror is the
     xz-plane (normal along y); the first secondary half-turn axis of the
     dihedral families is x; the diagonal mirror of Dmd bisects adjacent
-    secondary axes (line angle pi/(2m), override with mirror_angle).
+    secondary axes (line angle pi/(2m)).
   * Cubic and icosahedral groups are axis-aligned: 4-fold (or 2-fold)
     axes along the coordinate axes, 3-fold axes along body diagonals,
     icosahedral 5-fold axis through (0, 1, golden_ratio).
@@ -138,10 +138,11 @@ def _find(mats: np.ndarray, stack: np.ndarray, by_key: dict) -> np.ndarray:
 class SymmetryGroup:
     """A finite orthogonal group; element 0 is always the identity.
 
-    table[i, j] indexes the product of elements i and j, or is -1 if it is missing.
-    The closure hands in the table it filled (_table); otherwise _find looks up
-    all |S|^2 products here. A caller that holds the elements' matrices as one
-    read-only stack hands it in (_matrices) to be kept as is.
+    table[i, j] indexes the product of elements i and j. The closure hands in the
+    table it filled (_table); otherwise _find looks up all |S|^2 products here,
+    and InvalidGroup names the first missing one in row-major order. A caller that
+    holds the elements' matrices as one read-only stack hands it in (_matrices) to
+    be kept as is.
     """
 
     dim: int
@@ -166,6 +167,8 @@ class SymmetryGroup:
             by_key = dict(zip(reversed(_keys(stack)), range(len(stack) - 1, -1, -1)))
             _table = np.concatenate([_find((stack[rows, None] @ stack).reshape(-1, self.dim, self.dim), stack, by_key)
                                      for rows in chunks(len(stack), stack.size)]).reshape(len(stack), -1)
+        if _table.min() == -1:  # a min is a tenth of the cost of the argwhere that names the first miss
+            raise InvalidGroup("product of elements {} and {} is missing".format(*np.argwhere(_table == -1)[0]))
         _table.setflags(write=False)
         object.__setattr__(self, "table", _table)
         object.__setattr__(self, "_stack", stack)
@@ -198,16 +201,10 @@ class SymmetryGroup:
         return self.labels.index(label)
 
     def multiply(self, i: int, j: int) -> int:
-        k = int(self.table[i, j])
-        if k < 0:
-            raise UnknownName(f"product of elements {i} and {j} is not an element of {self.name or 'group'}")
-        return k
+        return int(self.table[i, j])
 
     def inverse_index(self, i: int) -> int:
-        hits = np.flatnonzero(self.table[i] == 0)
-        if not hits.size:
-            raise UnknownName(f"element {i} has no inverse in {self.name or 'group'}")
-        return int(hits[0])
+        return int(np.argmax(self.table[i] == 0))
 
     def __repr__(self) -> str:
         return f"SymmetryGroup({self.name or 'unnamed'}, dim={self.dim}, order={len(self)})"
@@ -228,22 +225,26 @@ def mirror2(line_angle: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+def _unit(vector, what: str) -> np.ndarray:
+    """vector over its length, after exact scaling by the power of 2 that brings its largest |entry| into [0.5, 1).
+
+    So no square in the length overflows or underflows, as np.linalg.norm's do beyond about 1e154 or below 1e-154.
+    """
+    v = np.asarray(vector, dtype=float)
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
+    if not v.any():
+        raise BadParam(f"{what} must be nonzero")
+    return v / np.linalg.norm(v)
+
+
 def rot3(axis, theta: float) -> np.ndarray:
-    u = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise BadParam("rotation axis must be nonzero")
-    u = u / norm
+    u = _unit(axis, "rotation axis")
     k = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
     return np.eye(3) + sin(theta) * k + (1.0 - cos(theta)) * (k @ k)
 
 
 def mirror3(normal) -> np.ndarray:
-    n = np.asarray(normal, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise BadParam("mirror normal must be nonzero")
-    n = n / norm
+    n = _unit(normal, "mirror normal")
     return np.eye(3) - 2.0 * np.outer(n, n)
 
 
@@ -293,8 +294,10 @@ def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
     angle = theta % (2.0 * pi)
     if dim == 3:
         trace = np.trace(raw, axis1=1, axis2=2)
-        angle = np.arccos(np.clip(np.where(proper, trace - 1.0, trace + 1.0) / 2.0, -1.0, 1.0))
         axis = np.stack([raw[:, 2, 1] - raw[:, 1, 2], raw[:, 0, 2] - raw[:, 2, 0], raw[:, 1, 0] - raw[:, 0, 1]], axis=1)
+        # atan2 of 2 sin(angle) against 2 cos(angle): well conditioned near a half-turn, where arccos is not
+        angle = np.array(list(map(atan2, np.linalg.norm(axis, axis=1).tolist(),
+                                  np.where(proper, trace - 1.0, trace + 1.0).tolist())))
         big = np.abs(axis) > 1e-9
         angle = np.where(big.any(axis=1) & (axis[rows, big.argmax(axis=1)] < 0), 2.0 * pi - angle, angle)
         inversion = (np.abs(raw + eye).max(axis=(1, 2)) <= MATCH_TOL).tolist()
@@ -472,7 +475,7 @@ _FAMILIES = {
         "I": (60, 0, ()), "Ih": (120, 0, ()),
         "C": (0, 1, ("axis",)), "Cv": (0, 2, ("axis", "secondary_axis", "mirror_angle")),
         "Ch": (0, 2, ("axis",)), "D": (0, 2, ("axis", "secondary_axis")), "Dh": (0, 4, ("axis", "secondary_axis")),
-        "Dd": (0, 4, ("axis", "secondary_axis", "mirror_angle")), "S": (0, 1, ("axis",))},
+        "Dd": (0, 4, ("axis", "secondary_axis")), "S": (0, 1, ("axis",))},
 }
 _TEMPLATES = {"Cm": "C", "Cmv": "Cv", "Cmh": "Ch", "Dm": "D", "Dmh": "Dh", "Dmd": "Dd", "S2m": "S"}
 _NUMERIC_RE = re.compile(r"^([CDS])(\d+)(v|h|d)?$")
@@ -514,23 +517,15 @@ def _parse_name(name: str, dim: int, m: int | None) -> tuple[str, int]:
 
 
 def _frame(axis, secondary) -> np.ndarray:
-    w = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        raise BadParam("axis must be nonzero")
-    w = w / norm
+    w = _unit(axis, "axis")
     if secondary is None:
         cand = np.eye(3)[np.argmin(np.abs(w))]
-        u = cand - np.dot(cand, w) * w
+        u = _unit(cand - np.dot(cand, w) * w, "axis")
     else:
-        u = np.asarray(secondary, dtype=float)
-        if np.linalg.norm(u) == 0:
-            raise BadParam("secondary_axis must be nonzero")
-        if abs(np.dot(u / np.linalg.norm(u), w)) > 1e-9:
+        u = _unit(secondary, "secondary_axis")
+        if abs(np.dot(u, w)) > 1e-9:
             raise BadParam("secondary_axis must be perpendicular to axis")
-    u = u / np.linalg.norm(u)
-    v = np.cross(w, u)
-    return np.column_stack([u, v, w])
+    return np.column_stack([u, np.cross(w, u), w])
 
 
 def schoenflies_group(
@@ -609,8 +604,7 @@ def schoenflies_group(
         elif family == "Dh":
             mats = dn + [sh @ g for g in dn]
         else:  # Dd
-            theta = pi / (2.0 * order) if mirror_angle is None else float(mirror_angle)
-            sd = mirror3((-sin(theta), cos(theta), 0.0))
+            sd = mirror3((-sin(pi / (2.0 * order)), cos(pi / (2.0 * order)), 0.0))
             mats = dn + [sd @ g for g in dn]
     mats = [snap_matrix(g) for g in mats]
     if axis is not None or secondary_axis is not None:

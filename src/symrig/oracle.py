@@ -142,8 +142,8 @@ def validate_group(group: SymmetryGroup) -> None:
     """Check the group invariants; raises InvalidGroup describing a violation.
 
     Checked: identity first, per-entry orthogonality and unit determinant
-    within ORTHO_TOL, pairwise-distinct elements, closure under products
-    and inverses, unique labels.
+    within ORTHO_TOL, pairwise-distinct elements, unique labels. Closure is
+    checked when the group is built.
     """
     stack = group.matrices()
     count, eye = len(stack), np.eye(group.dim)
@@ -160,11 +160,6 @@ def validate_group(group: SymmetryGroup) -> None:
     if dup.size:
         j = int(dup[np.argmin(first[dup])])
         raise InvalidGroup(f"elements {first[j]} and {j} coincide")
-    for i, row in enumerate(group.table):
-        if not np.any(row == 0):
-            raise InvalidGroup(f"inverse of element {i} is missing")
-        if np.any(row < 0):
-            raise InvalidGroup(f"product of elements {i} and {int(np.argmin(row))} is missing")
     if len(set(group.labels)) != count:
         raise InvalidGroup("element labels are not unique")
 

@@ -42,7 +42,7 @@ from . import _numeric
 from ._numeric import kernel_basis
 from .classify import TypeAssignment
 from .classify import is_homomorphism  # noqa: F401  bench/tracing.py wraps this name of symspace
-from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted, UnknownName
+from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted
 from .graphs import Graph, bar_vectors, is_automorphism, short_bars
 from .groups import SymmetryGroup
 from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdicts
@@ -100,8 +100,8 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
     Walking from each orbit's least joint v, a level at a time with every pair (M_x, phi_x) as a step, sets
     t_{phi_x(w)} = x t_w, so p_w = M_{t_w} p_v; each Schreier element s = t_{phi_x(w)}^-1 x t_w must fix p_v.
     A frame F of the kernel of the stacked M_s - I (one kernel_basis call per distinct set, I_d for a free
-    orbit) gives joint w the frame M_{t_w} F / sqrt(|O|), orbits by least joint. A table missing a product
-    raises UnknownName. Nothing is sorted: a process's first sort maps about 0.4 MB of numpy's sort code.
+    orbit) gives joint w the frame M_{t_w} F / sqrt(|O|), orbits by least joint. Nothing is sorted: a process's
+    first sort maps about 0.4 MB of numpy's sort code.
     """
     if len(phi) != len(group):
         raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
@@ -110,8 +110,6 @@ def config_space_basis(graph: Graph, group: SymmetryGroup, phi: TypeAssignment) 
     if not mapped.all():
         raise NotAnAutomorphism(f"image for {group.elements[int(np.argmin(mapped))].label} is not an automorphism")
     table, images, mats = group.table, phi.array, group.matrices()
-    if np.any(table < 0):
-        raise UnknownName(f"{group.name or 'group'} is not closed under products")
     root, low = None, np.arange(n)  # each joint's least orbit-mate, once the minima settle
     while not np.array_equal(root, low):
         root, low = low, np.minimum(low, low[images].min(axis=0))

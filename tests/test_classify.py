@@ -18,6 +18,7 @@ from symrig.classify import (
 )
 from symrig.errors import (
     ExplosionGuard,
+    InvalidGroup,
     LengthMismatch,
     NotAnAutomorphism,
     NotInSymmetryClass,
@@ -66,6 +67,12 @@ class TestVerifyType:
         short = TypeAssignment((Permutation.identity(6),))
         with pytest.raises(LengthMismatch):
             verify_type(config_space_basis(graph, group, short), coords)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coordinates_warn_of_no_overflow(self):
+        # residuals of about 1e184 exceed tol; a norm of them would square past the float range
+        graph, coords, group, phi = fixture_framework("c9_c3")
+        assert not verify_type(config_space_basis(graph, group, phi), coords * 1e200)
 
     def test_collapsed_bar_fails(self):
         graph, _, group, _ = fixture_framework("k3_c2_swap")
@@ -212,9 +219,9 @@ class TestHomomorphicSearch:
     def test_group_with_missing_product_rejected(self):
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"),
                OrthogonalOp(mirror2(0.4), "t"))
-        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
-        with pytest.raises(UnknownName):
-            is_homomorphism(broken, identity_type(broken, 3))
+        # Every SymmetryGroup is closed: the table is checked when the group is built.
+        with pytest.raises(InvalidGroup, match="product of elements 1 and 2 is missing"):
+            SymmetryGroup(dim=2, elements=ops, name="broken")
 
 
 def reference_is_homomorphism(group, phi):
@@ -542,6 +549,14 @@ class TestEarlyGuard:
         with pytest.raises(ExplosionGuard):
             enumerate_types(*coincident_cluster(12), normalized=True)
         assert len(listed) == 2 + 100_001
+
+    def test_c1_normalized_listing_is_bounded(self):
+        # K_{1,8} with its leaves at one point: 8! = 40320 coincidences and no free slot under C1,
+        # but the listing of the coincidences is itself bounded.
+        graph = Graph.make(9, [(0, k) for k in range(1, 9)])
+        coords = np.array([[0.0, 0.0]] + [[1.0, 0.0]] * 8)
+        with pytest.raises(ExplosionGuard, match="at least 1001 "):
+            enumerate_types(graph, coords, schoenflies_group("C1", 2), normalized=True, max_product=1000)
 
     def test_guard_bound_is_exact(self):
         # three coincident joints: 3! = 6 coincidences, 6^2 = 36 types under C2

@@ -218,6 +218,8 @@ class TestNameParsing:
             schoenflies_group("C2", 2, axis=(0, 0, 1))
         with pytest.raises(BadParam):
             schoenflies_group("D4", 3, mirror_angle=0.1)
+        with pytest.raises(BadParam):  # any angle but the default's builds no D3d: a non-group or D3h
+            schoenflies_group("D3d", 3, mirror_angle=0.1)
         with pytest.raises(BadParam):
             schoenflies_group("Td", 3, axis=(1, 0, 0))
         with pytest.raises(BadParam):
@@ -274,6 +276,16 @@ class TestOrientationConventions:
             assert np.allclose(op.matrix @ ex, ex)
         validate_group(g)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, given, plain", [
+        ("Cs", {"mirror_normal": (1e200, 0.0, 1e200)}, {"mirror_normal": (1.0, 0.0, 1.0)}),
+        ("C4", {"axis": (1e-170, 1e-170, 0.0)}, {"axis": (1.0, 1.0, 0.0)}),
+    ], ids=["huge-normal", "tiny-axis"])
+    def test_vector_length_neither_overflows_nor_underflows(self, name, given, plain):
+        group, reference = schoenflies_group(name, 3, **given), schoenflies_group(name, 3, **plain)
+        assert group.labels == reference.labels
+        assert np.array_equal(group.matrices(), reference.matrices())
+
     def test_frame_rejects_parallel_secondary(self):
         with pytest.raises(BadParam):
             schoenflies_group("D3", 3, axis=(0, 0, 1), secondary_axis=(0, 0, 1))
@@ -327,9 +339,8 @@ class TestGroupMachinery:
 
     def test_validator_catches_missing_inverse(self):
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(rot2(2 * math.pi / 3), "C3"))
-        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
         with pytest.raises(ValueError):
-            validate_group(broken)
+            validate_group(SymmetryGroup(dim=2, elements=ops, name="broken"))
 
     def test_validator_catches_duplicate(self):
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(np.eye(2), "Id2"))
@@ -483,12 +494,8 @@ class TestTableClosure:
     def test_missing_product_stored_as_minus_one(self):
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"),
                OrthogonalOp(mirror2(0.4), "t"))
-        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
-        assert broken.table[1, 2] == -1
-        with pytest.raises(UnknownName):
-            broken.multiply(1, 2)
-        with pytest.raises(ValueError, match="product of elements 1 and 2 is missing"):
-            validate_group(broken)
+        with pytest.raises(InvalidGroup, match="product of elements 1 and 2 is missing"):
+            SymmetryGroup(dim=2, elements=ops, name="broken")
 
     def test_index_of_unknown_matrix(self):
         with pytest.raises(UnknownName):
@@ -644,7 +651,7 @@ class TestListedTable:
 
     @pytest.mark.parametrize("dim,name,params", [
         (2, "C7v", {"mirror_angle": 0.3}), (3, "D6h", {"axis": (1, 2, 3)}),
-        (3, "D5d", {"axis": (0, 1, 1), "secondary_axis": (1, 0, 0), "mirror_angle": 0.1}),
+        (3, "D5d", {"axis": (0, 1, 1), "secondary_axis": (1, 0, 0)}),
         (3, "S8", {"axis": (-1, 2, 0.5)})])
     def test_oriented_table_equals_the_row_scan(self, dim, name, params):
         group = schoenflies_group(name, dim, **params)
@@ -652,8 +659,14 @@ class TestListedTable:
 
     @pytest.mark.parametrize("name", sorted(BROKEN_GROUPS))
     def test_broken_group_keeps_its_missing_entries(self, name):
-        group = user_group(*BROKEN_GROUPS[name])
-        assert np.array_equal(group.table, match_table(group.matrices()))
+        # A list that match_table finds a product missing from is refused, naming its first -1 in row-major order.
+        reference = match_table(np.array([OrthogonalOp(m).matrix for m, _ in BROKEN_GROUPS[name]]))
+        missing = np.argwhere(reference < 0)
+        if missing.size:
+            with pytest.raises(InvalidGroup, match="product of elements {} and {} is missing".format(*missing[0])):
+                user_group(*BROKEN_GROUPS[name])
+            return
+        assert np.array_equal(user_group(*BROKEN_GROUPS[name]).table, reference)
 
     @pytest.mark.parametrize("dim,name,scanned", [(2, "C100v", 0), (3, "D50h", 0), (3, "S200", 0),
                                                   ("broken", "missing_product", 2)])
@@ -665,9 +678,28 @@ class TestListedTable:
             return _match(candidates, stack)
 
         monkeypatch.setattr(groups, "_match", counting_match)
-        group = user_group(*BROKEN_GROUPS[name]) if dim == "broken" else schoenflies_group(name, dim)
+        if dim == "broken":  # both missing products are scanned before the constructor refuses the list
+            with pytest.raises(InvalidGroup, match="product of elements 1 and 2 is missing"):
+                user_group(*BROKEN_GROUPS[name])
+        else:
+            schoenflies_group(name, dim)
         assert sum(rows) == scanned
-        assert np.count_nonzero(group.table < 0) == (scanned if dim == "broken" else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, "C6v"), (3, "D4h"), (3, "Td"), (3, "D3d")]), st.data())
+    def test_an_element_list_is_a_group_exactly_when_its_table_is_full(self, case, data):
+        # A subset of a group's elements, identity first and order kept: a subgroup, or refused.
+        dim, name = case
+        group = schoenflies_group(name, dim)
+        keep = [0, *sorted(data.draw(st.sets(st.integers(1, len(group) - 1), max_size=len(group) - 1)))]
+        ops = tuple(group.elements[k] for k in keep)
+        reference = match_table(group.matrices()[keep])
+        missing = np.argwhere(reference < 0)
+        if missing.size:
+            with pytest.raises(InvalidGroup, match="product of elements {} and {} is missing".format(*missing[0])):
+                SymmetryGroup(dim=dim, elements=ops)
+        else:
+            assert np.array_equal(SymmetryGroup(dim=dim, elements=ops).table, reference)
 
     def test_no_matrices(self):
         stack = schoenflies_group("C4", 2).matrices()
@@ -689,10 +721,16 @@ class TestHighOrderLabels:
         labels = schoenflies_group("D61", 3).labels
         assert labels[:2] == ("Id", "C61")
         assert not any("#" in label for label in labels[:61])
+        assert all(label.startswith("C2#") for label in labels[61:])
+
+    def test_half_turn_about_a_skew_axis(self):
+        # trace - 1 = -2 up to rounding: arccos of it read some half-turns as R(180)
+        assert schoenflies_group("C2", 3, axis=(1, 1, 1)).labels == ("Id", "C2")
 
     def test_irrational_rotation_keeps_angle_label(self):
-        assert _wrap([np.eye(2), rot2(1.0)], 2, "r").labels[1].startswith("R(")
-        assert _wrap([np.eye(3), rot3((0, 0, 1), 1.0)], 3, "r").labels[1].startswith("R(")
+        # {I, R(1 rad)} is no group, so the label is read without building one.
+        assert _base_labels(np.array([np.eye(2), rot2(1.0)]), 2)[1].startswith("R(")
+        assert _base_labels(np.array([np.eye(3), rot3((0, 0, 1), 1.0)]), 3)[1].startswith("R(")
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +761,12 @@ def reference_signed_angle(m, angle):
     return angle
 
 
+def reference_angle(m, shift):
+    """The signed angle of a rotation (shift -1) or rotoreflection (shift 1): atan2 of 2 sin(angle) against trace + shift."""
+    a = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+    return reference_signed_angle(m, math.atan2(math.hypot(*a), float(np.trace(m)) + shift))
+
+
 def reference_label(m, dim):
     """One matrix's label: a Fraction per rotation angle and an SVD per mirror normal."""
     eye = np.eye(dim)
@@ -735,8 +779,7 @@ def reference_label(m, dim):
     if np.max(np.abs(m + eye)) <= MATCH_TOL:
         return "i"
     if np.linalg.det(m) > 0:
-        cos_t = min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))
-        return reference_turn("C", "R", reference_signed_angle(m, float(np.arccos(cos_t))))
+        return reference_turn("C", "R", reference_angle(m, -1.0))
     if np.max(np.abs(m - m.T)) <= MATCH_TOL and abs(np.trace(m) - 1.0) <= MATCH_TOL:
         n = kernel_basis(m + eye, 1e-9)[0]
         if abs(abs(n[2]) - 1.0) <= 1e-9:
@@ -744,8 +787,7 @@ def reference_label(m, dim):
         if abs(n[2]) <= 1e-9:
             return f"sv({_fmt_deg(math.atan2(-n[0], n[1]) % math.pi, math.pi)})"
         return "s"
-    cos_t = min(1.0, max(-1.0, (np.trace(m) + 1.0) / 2.0))
-    return reference_turn("S", "S", reference_signed_angle(m, float(np.arccos(cos_t))))
+    return reference_turn("S", "S", reference_angle(m, 1.0))
 
 
 def reference_labels(mats, dim, overrides=None):

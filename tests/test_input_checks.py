@@ -161,20 +161,20 @@ def _group(*ops):
 
 
 class TestValidatorErrors:
-    @pytest.mark.parametrize("group, message", [
-        (_group((np.eye(2), "Id"), (rot2(2 * math.pi / 3), "C3")), "inverse of element 1 is missing"),
-        (_group((np.eye(2), "Id"), (np.eye(2), "Id2")), "elements 0 and 1 coincide"),
-        (_group((np.eye(2), "Id"), (-np.eye(2), "Id")), "element labels are not unique"),
-        (_group((np.eye(2), "Id"), (-np.eye(2), "C2"), (rot2(math.pi / 2) * (1.0 + 1e-11), "C4"),
-                (rot2(-math.pi / 2), "C4^3")), "element 2 (C4) fails orthogonality at 1e-12"),
+    # The groups are built inside the tests: the constructor refuses a list that is not closed.
+    @pytest.mark.parametrize("ops, message", [
+        (((np.eye(2), "Id"), (rot2(2 * math.pi / 3), "C3")), "product of elements 1 and 1 is missing"),
+        (((np.eye(2), "Id"), (np.eye(2), "Id2")), "elements 0 and 1 coincide"),
+        (((np.eye(2), "Id"), (-np.eye(2), "Id")), "element labels are not unique"),
+        (((np.eye(2), "Id"), (-np.eye(2), "C2"), (rot2(math.pi / 2) * (1.0 + 1e-11), "C4"),
+          (rot2(-math.pi / 2), "C4^3")), "element 2 (C4) fails orthogonality at 1e-12"),
     ], ids=["inverse", "duplicate", "labels", "orthogonality"])
-    def test_raises_invalid_group(self, group, message):
+    def test_raises_invalid_group(self, ops, message):
         with pytest.raises(InvalidGroup) as info:
-            validate_group(group)
+            validate_group(_group(*ops))
         assert str(info.value) == message
         assert isinstance(info.value, SymrigError) and isinstance(info.value, ValueError)
 
     def test_missing_product(self):
-        half = _group((np.eye(2), "Id"), (rot2(math.pi / 2), "C4"), (rot2(-math.pi / 2), "C4^3"))
         with pytest.raises(InvalidGroup, match="product of elements 1 and 1 is missing"):
-            validate_group(half)
+            _group((np.eye(2), "Id"), (rot2(math.pi / 2), "C4"), (rot2(-math.pi / 2), "C4^3"))

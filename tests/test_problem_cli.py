@@ -361,6 +361,27 @@ class TestParseFeatures:
         # vertical mirror: x -> -x
         assert np.allclose(prob.group.elements[1].matrix, [[-1, 0], [0, 1]])
 
+    def test_half_turn_about_a_skew_axis_is_named_c2(self, tmp_path, capsys):
+        data = {"dim": 3, "vertices": ["v1", "v2"], "edges": [["v1", "v2"]],
+                "group": {"schoenflies": "C2", "params": {"axis": [1, 1, 1]}}, "type": {"C2": "(v1 v2)"},
+                "coords": {"v1": [1.0, 0.0, 0.0], "v2": [-1 / 3, 2 / 3, 2 / 3]}}
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, "analyze", "--problem", str(path), "--trials", "2")
+        assert code == 0
+        assert json.loads(out)["given_configuration"]["satisfies_type"] is True
+
+    @pytest.mark.parametrize("command", ["types", "svg", "analyze"])
+    def test_dmd_takes_no_mirror_angle(self, tmp_path, capsys, command):
+        # D3d with its mirror turned by 10 degrees is missing 36 of its 144 products
+        data = {"dim": 3, "vertices": ["v1"], "edges": [], "type": "auto", "coords": {"v1": [0, 0, 0]},
+                "group": {"schoenflies": "D3d", "params": {"mirror_angle_deg": 10}}}
+        path = tmp_path / "d3d.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli(capsys, command, "--problem", str(path))
+        assert code == 3
+        assert json.loads(out) == {"error": "parameters ['mirror_angle'] do not apply to D3d in dimension 3"}
+
     def test_generator_route(self):
         data = base_problem()
         data["group"] = {"generators": [[[-1, 0], [0, -1]]]}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symrig._numeric import kernel_basis
 from symrig.classify import TypeAssignment, find_base_type, identity_type, is_homomorphism, verify_type
-from symrig.errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted, UnknownName
+from symrig.errors import BadParam, InvalidGroup, LengthMismatch, NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, parse_cycles
 from symrig.groups import OrthogonalOp, SymmetryGroup, mirror2, schoenflies_group
 from symrig.oracle import _orbits, constraint_stack, exhaustive_generic_check, symmetry_constraint_matrix
@@ -167,9 +167,9 @@ class TestBasis:
     def test_group_with_missing_product_rejected(self):
         # The product of the two mirrors, a turn by 0.8 rad, is not an element.
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(mirror2(0.0), "s"), OrthogonalOp(mirror2(0.4), "t"))
-        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
-        with pytest.raises(UnknownName, match="broken is not closed under products"):
-            config_space_basis(Graph.make(3, [(0, 1)]), broken, identity_type(broken, 3))
+        # so no class can be built on it: the group itself is refused.
+        with pytest.raises(InvalidGroup, match="product of elements 1 and 2 is missing"):
+            SymmetryGroup(dim=2, elements=ops, name="broken")
 
     def test_type_of_the_wrong_length(self):
         # Every check of a type against its group names this fault with one class.

@@ -23,8 +23,14 @@ the tree this file lives in:
   cycle_cm, high_symmetry and large_3d problem, and on every fixture with
   `--tol-geom 0.2` (383 outputs up to here);
 - `basis` and `empty-check` on every problem the cycle_cm, high_symmetry
-  and large_3d generators build at workload seeds 1 to 5 (140 outputs), so
-  the class-space basis of every generated class is printed somewhere.
+  and large_3d generators build at workload seeds 1 to 5 (140 outputs, 653
+  up to here), so the class-space basis of every generated class is
+  printed somewhere;
+- `types`, `analyze` and `basis` on the seven groups of ORIENTED, each
+  given an orientation parameter, as the complete graph on the orbit of a
+  generic point with `type: "auto"` (21 outputs, 674 in all), so that
+  `axis`, `secondary_axis`, `mirror_angle_deg` and `mirror_normal` reach
+  the output.
 
 Run it in both trees and `diff` the two files: no output means every
 command printed the same bytes with the same exit code. A change meant to
@@ -41,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib.util
+import itertools
 import io
 import json
 import os
@@ -64,6 +71,17 @@ SAMPLED = (("analyze",), ("sample", "--count", "20"))
 SEEDS = range(1, 6)
 CLASS_SPACE = (("basis",), ("empty-check",))
 COORDINATE_KEYS = frozenset({"witness", "coords", "vectors", "max_residual"})
+ORIENTED = (  # (Schoenflies name, dim, params)
+    ("C2", 3, {"axis": [1, 1, 1]}),
+    ("D3h", 3, {"axis": [1, 2, 2]}),
+    ("D4d", 3, {"secondary_axis": [1, 1, 0]}),
+    ("C3v", 3, {"mirror_angle_deg": 20}),
+    ("Cs", 3, {"mirror_normal": [0, 0.6, 0.8]}),
+    ("C5v", 2, {"mirror_angle_deg": 20}),
+    ("D3d", 3, {"mirror_angle_deg": 10}),
+)
+ORIENTED_COMMANDS = (("types",), ("analyze",), ("basis",))
+GENERIC_POINT = (0.31, 0.17, 0.52)
 
 
 def _load(path: Path, name: str):
@@ -100,6 +118,27 @@ def _digest(main, argv: list[str], shown: list[str]) -> str:
     except json.JSONDecodeError:
         stripped = out
     return f"{json.dumps(shown)} {code} {_sha(out)} {_sha(stripped)}"
+
+
+def _orbit_problem(name: str, dim: int, params: dict) -> dict:
+    """The complete graph on the orbit of GENERIC_POINT under the group, with type auto.
+
+    A group the catalog refuses takes the orbit under its default orientation;
+    the commands print the refusal either way.
+    """
+    from symrig.errors import SymrigError
+    from symrig.problem import _parse_group
+
+    spec = {"schoenflies": name, "params": params}
+    try:
+        group = _parse_group(spec, dim)
+    except SymrigError:
+        group = _parse_group({"schoenflies": name}, dim)
+    vertices = [f"v{k}" for k in range(1, len(group) + 1)]
+    points = (group.matrices() @ GENERIC_POINT[:dim]).tolist()
+    return {"name": f"{name} {params}", "dim": dim, "vertices": vertices,
+            "edges": [list(pair) for pair in itertools.combinations(vertices, 2)],
+            "group": spec, "type": "auto", "coords": dict(zip(vertices, points))}
 
 
 def commands(workdir: Path) -> list[tuple[list[str], list[str]]]:
@@ -153,6 +192,13 @@ def commands(workdir: Path) -> list[tuple[list[str], list[str]]]:
                 for command in CLASS_SPACE:
                     out.append(([*command, "--problem", str(path)],
                                 [f"{name} seed {seed}", *command, "--problem", prob.name]))
+
+    for k, (name, dim, params) in enumerate(ORIENTED):
+        data = _orbit_problem(name, dim, params)
+        path = workdir / f"oriented{k}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for command in ORIENTED_COMMANDS:
+            out.append(([*command, "--problem", str(path)], [*command, "--problem", data["name"]]))
     return out
 
 
