@@ -89,6 +89,8 @@ class Graph:
     bars holds the edges once, sorted, as a read-only (|E|, 2) index array
     with u < v in each row; every per-bar array follows its row order.
     index maps each label to its vertex, built once for parse_cycles and index_of.
+    Built directly, it raises InvalidGraph unless n >= 1, the n labels are distinct
+    and 0 <= u < v < n for each edge (u, v); make names the one fault it finds.
     """
 
     n: int
@@ -99,10 +101,12 @@ class Graph:
 
     def __post_init__(self) -> None:
         bars = np.array(sorted(self.edges), dtype=int).reshape(-1, 2)
+        if (self.n < 1 or len(self.labels) != self.n or len(set(self.labels)) != self.n
+                or not ((-1 < bars[:, 0]) & (bars[:, 0] < bars[:, 1]) & (bars[:, 1] < self.n)).all()):
+            raise InvalidGraph("a graph needs n >= 1, n distinct labels and bars (u, v) with 0 <= u < v < n")
         bars.setflags(write=False)
         object.__setattr__(self, "bars", bars)
-        # each label's first vertex, as labels.index finds it
-        object.__setattr__(self, "index", dict(zip(reversed(self.labels), range(len(self.labels) - 1, -1, -1))))
+        object.__setattr__(self, "index", dict(zip(self.labels, range(self.n))))
 
     @staticmethod
     def make(n: int, edge_list, labels: tuple[str, ...] | None = None) -> "Graph":

@@ -138,11 +138,11 @@ def _find(mats: np.ndarray, stack: np.ndarray, by_key: dict) -> np.ndarray:
 class SymmetryGroup:
     """A finite orthogonal group; element 0 is always the identity.
 
-    table[i, j] indexes the product of elements i and j. The closure hands in the
-    table it filled (_table); otherwise _find looks up all |S|^2 products here,
-    and InvalidGroup names the first missing one in row-major order. A caller that
-    holds the elements' matrices as one read-only stack hands it in (_matrices) to
-    be kept as is.
+    The constructor raises InvalidGroup unless element 0 is the identity, every product is an element (else it
+    names the first missing one in row-major order), every table row is a permutation (else two elements coincide
+    within MATCH_TOL) and the labels are unique. table[i, j] indexes the product of elements i and j: the closure
+    hands in the table it filled (_table), otherwise _find looks up all |S|^2 products here. matrices() is the
+    elements' read-only stack.
     """
 
     dim: int
@@ -151,9 +151,8 @@ class SymmetryGroup:
     table: np.ndarray = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
     _table: InitVar[np.ndarray | None] = None
-    _matrices: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _table: np.ndarray | None, _matrices: np.ndarray | None) -> None:
+    def __post_init__(self, _table: np.ndarray | None) -> None:
         if not self.elements:
             raise InvalidGroup("a group needs at least the identity element")
         shapes = {op.matrix.shape for op in self.elements}
@@ -161,7 +160,8 @@ class SymmetryGroup:
             raise DimensionMismatch(f"elements of shapes {sorted(shapes)} in a group acting in {self.dim}d")
         if not self.elements[0].is_identity():
             raise InvalidGroup("element 0 must be the identity")
-        stack = np.stack([op.matrix for op in self.elements]) if _matrices is None else _matrices
+        stack = np.stack([op.matrix for op in self.elements])
+        stack.setflags(write=False)
         if _table is None:  # one row of products fills stack.size cells
             # filed in reverse, so that the first of equal keys stays: _match finds the first
             by_key = dict(zip(reversed(_keys(stack)), range(len(stack) - 1, -1, -1)))
@@ -169,6 +169,15 @@ class SymmetryGroup:
                                      for rows in chunks(len(stack), stack.size)]).reshape(len(stack), -1)
         if _table.min() == -1:  # a min is a tenth of the cost of the argwhere that names the first miss
             raise InvalidGroup("product of elements {} and {} is missing".format(*np.argwhere(_table == -1)[0]))
+        hit = np.zeros(_table.shape, dtype=bool)
+        hit[np.arange(len(stack))[:, None], _table] = True
+        if not hit.all():  # in the first row that is not a permutation, the first entry an earlier one repeats
+            row = _table[np.argmin(hit.all(axis=1))]
+            first = np.argmax(row[:, None] == row, axis=1)  # the first column holding each column's entry
+            j = int(np.argmax(first != np.arange(len(row))))
+            raise InvalidGroup(f"elements {first[j]} and {j} coincide")
+        if len(set(self.labels)) != len(stack):
+            raise InvalidGroup("element labels are not unique")
         _table.setflags(write=False)
         object.__setattr__(self, "table", _table)
         object.__setattr__(self, "_stack", stack)
@@ -342,22 +351,21 @@ def _base_labels(raw: np.ndarray, dim: int) -> list[str]:
 
 
 def _wrap(mats, dim: int, name: str, overrides: dict[int, str] | None = None) -> SymmetryGroup:
-    """A group from a list of matrices, checked and snapped in one pass; labels read the matrices as given."""
-    raw = np.array(mats, dtype=float)
-    return _group(_orthogonal(raw), raw, dim, name, overrides)
+    """A group from a list of matrices, checked and snapped in one pass."""
+    return _group(_orthogonal(mats), dim, name, overrides)
 
 
-def _group(stack: np.ndarray, raw: np.ndarray, dim: int, name: str, overrides: dict[int, str] | None = None,
+def _group(stack: np.ndarray, dim: int, name: str, overrides: dict[int, str] | None = None,
            table: np.ndarray | None = None) -> SymmetryGroup:
-    """A labelled group on a read-only stack that _orthogonal has checked and snapped, or the closure built."""
+    """A group labelled by the geometry of a stack that _orthogonal has checked and snapped, or the closure built."""
     overrides = overrides or {}
-    base = [overrides.get(i) or b for i, b in enumerate(_base_labels(raw, dim))]
+    base = [overrides.get(i) or b for i, b in enumerate(_base_labels(stack, dim))]
     counts, seen, labels = Counter(base), Counter(), []
     for b in base:
         seen[b] += 1
         labels.append(b if counts[b] == 1 else f"{b}#{seen[b]}")
     ops = tuple(OrthogonalOp._checked(m, lab) for m, lab in zip(stack, labels))
-    return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table, _matrices=stack)
+    return SymmetryGroup(dim=dim, elements=ops, name=name, _table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +393,6 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
     if len(dims) != 1:
         raise DimensionMismatch(f"generators of mixed shapes {sorted(dims)}")
     checked = _orthogonal(gens)
-    if max_order < 1:
-        raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
     for g in checked:
         try:
             element_order(OrthogonalOp._checked(g, ""), max_order)
@@ -445,7 +451,7 @@ def close_group(generators, max_order: int = MAX_GROUP_ORDER, name: str = "closu
             raise NotClosedWithinBound(f"closure exceeded {max_order} elements")
     # bits are snapped products of checked generators, so they go to the group unchecked.
     bits.setflags(write=False)
-    return _group(bits, bits, dim, name, table=table)
+    return _group(bits, dim, name, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,21 @@ class TestGraph:
         assert g.index == {"a": 0, "b": 1, "c": 2}
         assert g.index is g.index
         assert g == Graph.make(3, [(0, 1)], labels=("a", "b", "c"))
-        # a Graph built directly may repeat a label: index_of keeps the first vertex
-        assert Graph(n=2, edges=frozenset(), labels=("x", "x")).index_of("x") == 0
+        # a Graph built directly may not repeat a label
+        with pytest.raises(InvalidGraph):
+            Graph(n=2, edges=frozenset(), labels=("x", "x"))
+
+    @pytest.mark.parametrize("n,edges,labels", [
+        (3, {(0, 1), (2, 1)}, ("a", "b", "c")),
+        (3, {(1, 1)}, ("a", "b", "c")),
+        (3, {(0, 3)}, ("a", "b", "c")),
+        (3, {(-1, 2)}, ("a", "b", "c")),
+        (3, set(), ("a", "b")),
+        (0, set(), ()),
+    ], ids=["reversed_bar", "self_loop", "out_of_range", "negative", "too_few_labels", "no_vertex"])
+    def test_constructor_refuses_what_make_refuses(self, n, edges, labels):
+        with pytest.raises(InvalidGraph, match="0 <= u < v < n"):
+            Graph(n=n, edges=frozenset(edges), labels=labels)
 
     @pytest.mark.parametrize("text", ["(a b c)", "(c a)", "id", "(a)(b c)"])
     def test_parse_cycles_reads_the_graph_index(self, text):

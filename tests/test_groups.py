@@ -343,10 +343,10 @@ class TestGroupMachinery:
             validate_group(SymmetryGroup(dim=2, elements=ops, name="broken"))
 
     def test_validator_catches_duplicate(self):
+        # the constructor refuses the list before a validator could see it
         ops = (OrthogonalOp(np.eye(2), "Id"), OrthogonalOp(np.eye(2), "Id2"))
-        broken = SymmetryGroup(dim=2, elements=ops, name="broken")
-        with pytest.raises(ValueError):
-            validate_group(broken)
+        with pytest.raises(InvalidGroup, match="elements 0 and 1 coincide"):
+            SymmetryGroup(dim=2, elements=ops, name="broken")
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["C3", "C4v", "C6", "Cs"]), st.data())
@@ -452,8 +452,9 @@ class TestTableClosure:
                 close_group(gens, max_order=max_order)
 
     def test_zero_bound_rejects_even_the_trivial_group(self):
-        with pytest.raises(NotClosedWithinBound):
-            close_group([np.eye(3)], max_order=0)
+        for bound in (0, -3):  # the generator-order check refuses every bound below 1
+            with pytest.raises(NotClosedWithinBound, match=f"closure exceeded {bound} elements"):
+                close_group([np.eye(3)], max_order=bound)
         assert len(close_group([np.eye(3)], max_order=1)) == 1
 
     @settings(max_examples=8, deadline=None)
@@ -626,7 +627,7 @@ def user_group(*ops):
     return SymmetryGroup(dim=2, elements=tuple(OrthogonalOp(m, label) for m, label in ops), name="broken")
 
 
-# Every listed catalog family, up to order 200, and the broken user-built groups of the validator tests.
+# Every listed catalog family, up to order 200, and the broken user-built groups of the constructor tests.
 LISTED_FAMILIES = ([(2, n) for n in ["C1", "Cs", "C2", "C3", "C12", "C200", "C2v", "C8v", "C12v", "C100v"]]
                    + [(3, n) for n in ["C1", "Cs", "Ci", "C3", "C12", "C200", "C4v", "C12v", "C3h", "D4",
                                        "D3h", "D6h", "D50h", "D2d", "D50d", "S4", "S6", "S200"]])
@@ -639,6 +640,7 @@ BROKEN_GROUPS = {  # element lists, built where a test needs the group
     "missing_product": ((np.eye(2), "Id"), (mirror2(0.0), "s"), (mirror2(0.4), "t")),
     "half": ((np.eye(2), "Id"), (rot2(math.pi / 2), "C4"), (rot2(-math.pi / 2), "C4^3")),
 }
+FULL_BUT_REFUSED = {"duplicate": "elements 0 and 1 coincide", "labels": "element labels are not unique"}
 
 
 class TestListedTable:
@@ -659,11 +661,16 @@ class TestListedTable:
 
     @pytest.mark.parametrize("name", sorted(BROKEN_GROUPS))
     def test_broken_group_keeps_its_missing_entries(self, name):
-        # A list that match_table finds a product missing from is refused, naming its first -1 in row-major order.
+        # A list that match_table finds a product missing from is refused, naming its first -1 in row-major order;
+        # a full table is refused next for coinciding elements, then for repeated labels.
         reference = match_table(np.array([OrthogonalOp(m).matrix for m, _ in BROKEN_GROUPS[name]]))
         missing = np.argwhere(reference < 0)
         if missing.size:
             with pytest.raises(InvalidGroup, match="product of elements {} and {} is missing".format(*missing[0])):
+                user_group(*BROKEN_GROUPS[name])
+            return
+        if name in FULL_BUT_REFUSED:
+            with pytest.raises(InvalidGroup, match=FULL_BUT_REFUSED[name]):
                 user_group(*BROKEN_GROUPS[name])
             return
         assert np.array_equal(user_group(*BROKEN_GROUPS[name]).table, reference)
@@ -706,6 +713,71 @@ class TestListedTable:
         assert _keys(np.empty((0, 2, 2))) == [] and _keys(np.empty((0, 4))) == []
         found = _find(np.empty((0, 2, 2)), stack, dict(zip(_keys(stack), range(4))))
         assert found.shape == (0,) and found.dtype.kind == "i"
+
+
+def validator_pair(stack):
+    """The coinciding pair that _match(stack, stack) names: the least element with a later copy, and its first copy."""
+    first = _match(stack, stack)
+    dup = np.flatnonzero(first != np.arange(len(stack)))
+    j = int(dup[np.argmin(first[dup])])
+    return int(first[j]), j
+
+
+class TestGroupInvariants:
+    """The constructor refuses coinciding elements and repeated labels, and keeps a read-only stack."""
+
+    def test_near_duplicate_across_a_key_boundary(self):
+        # s and t lie 6e-10 apart across a key boundary: table row 0 is a permutation, rows 1 and 2 are not
+        b = (2**19 + 0.5) / 2**20
+        s, t = mirror2(math.acos(b + 3e-10) / 2), mirror2(math.acos(b - 3e-10) / 2)
+        stack = np.stack([np.eye(2), OrthogonalOp(s).matrix, OrthogonalOp(t).matrix])
+        assert _keys(stack[1:2]) != _keys(stack[2:]) and np.abs(stack[1] - stack[2]).max() <= MATCH_TOL
+        assert validator_pair(stack) == (1, 2)
+        with pytest.raises(InvalidGroup, match="elements 1 and 2 coincide"):
+            user_group((np.eye(2), "Id"), (s, "s"), (t, "t"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, "C6v"), (3, "D4h"), (3, "Td"), (3, "D3d"), (3, "C5")]), st.data())
+    def test_a_planted_copy_is_refused(self, case, data):
+        # An exact copy, or one turned by less than MATCH_TOL / 2: every product, the copy's square too,
+        # then lies within MATCH_TOL of an element, so the table is full and the copy is what is refused.
+        dim, name = case
+        group = schoenflies_group(name, dim)
+        k = data.draw(st.integers(0, len(group) - 1))
+        where = data.draw(st.integers(1, len(group)))
+        angle = data.draw(st.sampled_from([0.0, 1e-12, 2e-10, 0.45 * MATCH_TOL]))
+        axis = data.draw(st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: max(map(abs, v)) > 0.1))
+        turn = rot2(angle) if dim == 2 else rot3(axis, angle)
+        copy = OrthogonalOp(group.elements[k].matrix @ turn, "copy")
+        ops = group.elements[:where] + (copy,) + group.elements[where:]
+        pair = validator_pair(np.stack([op.matrix for op in ops]))
+        assert sorted(pair) == sorted([k if k < where else k + 1, where])
+        with pytest.raises(InvalidGroup, match="elements {} and {} coincide".format(*pair)):
+            SymmetryGroup(dim=dim, elements=ops)
+
+    def test_a_repeated_label_is_named_last(self):
+        # a missing product, then coinciding elements, come before the labels
+        with pytest.raises(InvalidGroup, match="product of elements 1 and 2 is missing"):
+            user_group((np.eye(2), "Id"), (mirror2(0.0), "s"), (mirror2(0.1), "s"))
+        with pytest.raises(InvalidGroup, match="elements 1 and 2 coincide"):
+            user_group((np.eye(2), "Id"), (mirror2(0.0), "s"), (mirror2(0.0), "s"))
+
+    @pytest.mark.parametrize("build", [lambda: user_group((np.eye(2), "Id"), (-np.eye(2), "C2")),
+                                       lambda: schoenflies_group("C4v", 2), lambda: close_group([rot2(math.pi / 2)])],
+                             ids=["user", "catalog", "closure"])
+    def test_stack_is_read_only(self, build):
+        group = build()
+        with pytest.raises(ValueError):
+            group.matrices()[1, 0, 0] = 0.5
+        assert all(not op.matrix.flags.writeable for op in group.elements)
+
+    @pytest.mark.parametrize("dim,name", LISTED_FAMILIES + [(3, name) for name in _POLYHEDRAL_GENS]
+                             + [("closure", key) for key in sorted(GENERATOR_LISTS)])
+    def test_table_rows_and_columns_are_permutations(self, dim, name):
+        group = close_group(GENERATOR_LISTS[name]) if dim == "closure" else schoenflies_group(name, dim)
+        count = np.arange(len(group))
+        assert (np.sort(group.table, axis=1) == count).all()
+        assert (np.sort(group.table, axis=0) == count[:, None]).all()
 
 
 class TestHighOrderLabels:

@@ -161,7 +161,8 @@ def _group(*ops):
 
 
 class TestValidatorErrors:
-    # The groups are built inside the tests: the constructor refuses a list that is not closed.
+    # The groups are built inside the tests: the constructor refuses all but the stretched list, which only the
+    # validator's tighter orthogonality bound refuses.
     @pytest.mark.parametrize("ops, message", [
         (((np.eye(2), "Id"), (rot2(2 * math.pi / 3), "C3")), "product of elements 1 and 1 is missing"),
         (((np.eye(2), "Id"), (np.eye(2), "Id2")), "elements 0 and 1 coincide"),
