@@ -141,8 +141,9 @@ def verify_type(basis: ConfigSpaceBasis, coords: np.ndarray, tol: float = 1e-8) 
     _check_tol(tol)
     graph, group, phi = basis.graph, basis.group, basis.phi
     p = _check_shapes(graph, coords, group)
-    moved = p @ np.swapaxes(group.matrices(), 1, 2)
-    return not len(short_bars(graph, p, tol)) and bool((_lengths(moved - p[phi.array]) <= tol).all())
+    with np.errstate(over="ignore"):  # as in bar_vectors: an overflowing offset is an infinite distance
+        offsets = p @ np.swapaxes(group.matrices(), 1, 2) - p[phi.array]
+    return not len(short_bars(graph, p, tol)) and bool((_lengths(offsets) <= tol).all())
 
 
 def find_base_type(

@@ -562,8 +562,8 @@ def schoenflies_group(
     if extra:
         raise BadParam(f"parameters {extra} do not apply to {display} in dimension {dim}")
 
+    theta = 0.0 if mirror_angle is None else float(mirror_angle)
     if dim == 2:
-        theta = 0.0 if mirror_angle is None else float(mirror_angle)
         if family == "C1":
             return _wrap([np.eye(2)], 2, display)
         if family == "Cs":
@@ -592,7 +592,6 @@ def schoenflies_group(
     if family == "C":
         mats = rots
     elif family == "Cv":
-        theta = 0.0 if mirror_angle is None else float(mirror_angle)
         planes = [mirror3((-sin(theta + pi * k / order), cos(theta + pi * k / order), 0.0)) for k in range(order)]
         mats = rots + planes
     elif family == "Ch":
@@ -612,8 +611,7 @@ def schoenflies_group(
         else:  # Dd
             sd = mirror3((-sin(pi / (2.0 * order)), cos(pi / (2.0 * order)), 0.0))
             mats = dn + [sd @ g for g in dn]
-    mats = [snap_matrix(g) for g in mats]
-    if axis is not None or secondary_axis is not None:
+    if axis is not None or secondary_axis is not None:  # the snapped entries are turned; _wrap snaps what comes out
         q = _frame(ez if axis is None else axis, secondary_axis)
-        mats = [snap_matrix(q @ g @ q.T) for g in mats]
+        mats = [q @ g @ q.T for g in snap_matrix(np.array(mats))]
     return _wrap(mats, 3, display)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import asdict, dataclass
-from math import comb, lcm, prod, sqrt
+from math import comb, gcd, lcm, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +72,8 @@ __all__ = [
     "rigidity_verdicts",
 ]
 
-# Distinct eigenvalues of an orthogonal matrix of order L lie at least
-# 2 sin(pi / L) apart, far above this for any group symrig builds.
+# A split compares o-th roots of unity, o <= MAX_GROUP_ORDER the order of the
+# operation's matrix: distinct ones lie at least 2 sin(pi / o) apart, far above this.
 EIGEN_TOL = 1e-6
 
 
@@ -200,14 +200,15 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     The frameworks the blocks are applied to must satisfy M p_v = p_perm(v)
     for op's matrix M. For a joint cycle (v_0 ... v_{s-1}) of perm the
     lambda-eigenvectors of T_g are u_{v_j} = lambda^-j M^j w / sqrt(s), w
-    over an orthonormal basis of the lambda^s-eigenspace of M^s. Phases 0
-    and L/2 are real, the others complex and counted twice for their
-    conjugates. Blocks without rows or columns are dropped. None when the
-    eigenspaces fall short of d n columns, which orthogonal matrices of any
-    group symrig builds never do.
+    over an orthonormal basis of the lambda^s-eigenspace of M^s. That is
+    empty unless (lambda^s)^o = 1, o the order of M, so only the phases k
+    with L | k s o for some cycle length s are visited, however long L
+    grows. Phases 0 and L/2 are real, the others complex and counted twice
+    for their conjugates. Blocks without rows or columns are dropped. None
+    when the eigenspaces fall short of d n columns, which orthogonal
+    matrices of any group symrig builds never do.
     """
-    n, d, mat = graph.n, op.dim, op.matrix
-    period = phase_period(op, perm)
+    n, d, mat, order = graph.n, op.dim, op.matrix, element_order(op)
     bar_perm = bar_images(graph, perm.images)
     if np.any(bar_perm < 0):
         raise NotAnAutomorphism(f"image for {op.label} does not map bars to bars")
@@ -217,20 +218,22 @@ def phase_split(graph: Graph, op: OrthogonalOp, perm: Permutation) -> tuple[Phas
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for cycle in perm.cycles(include_fixed=True):
         by_length.setdefault(len(cycle), []).append(cycle)
+    period = lcm(order, *by_length)
+    phases = sorted({k for s in by_length for k in range(0, period // 2 + 1, period // gcd(period, s * order))})
     powers = [np.eye(d)]
     for _ in range(max(by_length)):
         powers.append(powers[-1] @ mat)
     powers = np.array(powers)
 
     blocks, total = [], 0
-    for k in range(period // 2 + 1):
+    for k in phases:
         real = 2 * k % period == 0
         lam = (1.0 if k == 0 else -1.0) if real else np.exp(2j * np.pi * k / period)
         cols = np.full((n, d), -1)
         vecs = np.zeros((n, d, d), float if real else complex)
         columns = 0
         for s, cycles in by_length.items():
-            w = _eigenspace(powers[s], lam ** s)
+            w = _eigenspace(powers[s], lam ** s) if k * s * order % period == 0 else np.zeros((d, 0))
             m = w.shape[1]
             joints = np.array(cycles, dtype=int)
             vecs[joints, :, :m] = (lam ** -np.arange(s))[:, None, None] * (powers[:s] @ w) / sqrt(s)

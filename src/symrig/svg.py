@@ -16,7 +16,7 @@ import numpy as np
 from ._numeric import chunks
 from .errors import UnsupportedDim
 from .graphs import COINCIDENT_JOINT_TOL, joint_matches
-from .groups import SymmetryGroup, fixed_subspace
+from .groups import SymmetryGroup, fixed_subspace, rot3
 from .rigidity import Framework
 
 WIDTH, HEIGHT, MARGIN = 480, 480, 40.0  # drawing size and the clear border around the scene, in pixels
@@ -35,18 +35,7 @@ def _projection(dim: int) -> np.ndarray:
         return np.eye(2)
     if dim != 3:
         raise UnsupportedDim(f"can only draw in dimension 2 or 3, got {dim}")
-    az, el = math.radians(30.0), math.radians(20.0)
-    rot_y = np.array([
-        [math.cos(az), 0.0, math.sin(az)],
-        [0.0, 1.0, 0.0],
-        [-math.sin(az), 0.0, math.cos(az)],
-    ])
-    rot_x = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, math.cos(el), -math.sin(el)],
-        [0.0, math.sin(el), math.cos(el)],
-    ])
-    return (rot_x @ rot_y)[:2]
+    return (rot3((1.0, 0.0, 0.0), math.radians(20.0)) @ rot3((0.0, 1.0, 0.0), math.radians(30.0)))[:2]
 
 
 def _coincidence_clusters(coords: np.ndarray) -> list[list[int]]:
@@ -69,6 +58,10 @@ def _mirror_planes(group: SymmetryGroup) -> list[np.ndarray]:
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _line(kind: str, a: tuple[float, float], b: tuple[float, float]) -> str:
+    return f'<line class="{kind}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
 
 
 def render_svg(
@@ -110,13 +103,7 @@ def render_svg(
         reach = span * 0.75
         for rows in _mirror_planes(group):
             if framework.dim == 2:
-                direction = rows[0]
-                a = place(proj @ (reach * direction))
-                b = place(proj @ (-reach * direction))
-                parts.append(
-                    f'<line class="mirror" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                    f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-                )
+                parts.append(_line("mirror", place(proj @ (reach * rows[0])), place(proj @ (-reach * rows[0]))))
             else:
                 b1, b2 = rows
                 points = []
@@ -128,12 +115,7 @@ def render_svg(
                 parts.append(f'<polyline class="mirror" points="{" ".join(points)}"/>')
 
     for u, v in framework.graph.bars.tolist():
-        a = place(flat[u])
-        b = place(flat[v])
-        parts.append(
-            f'<line class="bar" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-            f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-        )
+        parts.append(_line("bar", place(flat[u]), place(flat[v])))
 
     for cluster in _coincidence_clusters(coords):
         x, y = place(flat[cluster[0]])

@@ -43,7 +43,7 @@ from ._numeric import kernel_basis
 from .classify import TypeAssignment
 from .classify import is_homomorphism  # noqa: F401  bench/tracing.py wraps this name of symspace
 from .errors import BadParam, LengthMismatch, NotAnAutomorphism, SamplingExhausted
-from .graphs import Graph, bar_vectors, is_automorphism, short_bars
+from .graphs import Graph, _lengths, bar_vectors, is_automorphism, short_bars
 from .groups import SymmetryGroup
 from .rigidity import Framework, PhaseBlock, phase_period, phase_split, rigidity_verdicts
 from .rigidity import rigidity_verdict  # noqa: F401  bench/tracing.py wraps this name of symspace
@@ -145,7 +145,8 @@ def constraint_residual(basis: ConfigSpaceBasis, coords: np.ndarray) -> float:
     worst = 0.0
     for part in _numeric.chunks(len(p), len(group) * n * d):
         diff = p[part] @ group.matrices().swapaxes(1, 2)
-        diff -= p[part, 0][:, basis.phi.array]
+        with np.errstate(over="ignore"):  # as in bar_vectors: an overflowing offset is an infinite distance
+            diff -= p[part, 0][:, basis.phi.array]
         worst = max(worst, float(np.max(np.abs(diff, out=diff), initial=0.0)))
     return worst
 
@@ -203,7 +204,7 @@ def _draws(basis: ConfigSpaceBasis, rng: random.Random, count: int, framework_to
             peak = np.max(np.abs(coords), axis=(1, 2))
             ok = peak > framework_tol
             coords /= np.where(ok, peak, 1.0)[:, None, None]
-            ok &= (np.linalg.norm(bar_vectors(g, coords), axis=-1) > framework_tol).all(axis=-1)
+            ok &= (_lengths(bar_vectors(g, coords)) > framework_tol).all(axis=-1)
             for row, good in zip(coords, ok.tolist()):
                 rejected = 0 if good else rejected + 1
                 if good:

@@ -89,6 +89,18 @@ def test_given_coords_whose_difference_overflows(tmp_path, capsys):
     assert json.loads(out)["types"] == [{"Id": "id", "C2": "(v1 v2)"}]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_given_coords_whose_offsets_overflow(tmp_path, capsys):
+    # Each joint's mirror image lies 2e308 from the joint the type sends it to: an infinite distance, no warning.
+    problem = {"dim": 2, "vertices": ["a", "b"], "edges": [["a", "b"]], "group": {"schoenflies": "Cs"},
+               "type": {"s": "id"}, "coords": {"a": [0, 1e308], "b": [0, -1e308]}}
+    code, out = _run(tmp_path, capsys, problem, "analyze", "--trials", "3")
+    assert code == 0
+    assert json.loads(out)["given_configuration"]["satisfies_type"] is False
+    prob = parse_problem(problem)
+    assert not verify_type(config_space_basis(prob.graph, prob.group, prob.phi), prob.coords)
+
+
 def _c1_triangle(scale: float) -> dict:
     return {"dim": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
             "group": {"schoenflies": "C1"}, "type": "auto",

@@ -286,6 +286,17 @@ class TestOrientationConventions:
         assert group.labels == reference.labels
         assert np.array_equal(group.matrices(), reference.matrices())
 
+    @pytest.mark.parametrize("name", ["C5", "C4v", "C3h", "D6", "D4h", "D5d"])
+    def test_catalog_elements_are_snapped_once(self, name, monkeypatch):
+        # _wrap snaps the stack; a framed group's exact entries are snapped before they are turned, too
+        calls = []
+        monkeypatch.setattr(groups, "snap_matrix", lambda m: calls.append(len(m)) or snap_matrix(m))
+        plain = schoenflies_group(name, 3)
+        assert calls == [len(plain)]
+        calls.clear()
+        schoenflies_group(name, 3, axis=(1.0, 2.0, 2.0))
+        assert calls == [len(plain), len(plain)]
+
     def test_frame_rejects_parallel_secondary(self):
         with pytest.raises(BadParam):
             schoenflies_group("D3", 3, axis=(0, 0, 1), secondary_axis=(0, 0, 1))

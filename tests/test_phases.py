@@ -24,8 +24,8 @@ from symrig.classify import TypeAssignment, find_base_type, identity_type, verif
 from symrig.cli import main
 from symrig.errors import NotAnAutomorphism, SamplingExhausted
 from symrig.graphs import Graph, Permutation, format_cycles
-from symrig.groups import fixed_subspace, schoenflies_group
-from symrig.problem import load_fixture
+from symrig.groups import element_order, fixed_subspace, schoenflies_group
+from symrig.problem import load_fixture, parse_problem
 from symrig.rigidity import Framework, phase_blocks, phase_period, phase_split, rigidity_matrix
 from symrig.symspace import config_space_basis, draw_samples, sym_generic_verdict
 
@@ -378,3 +378,61 @@ def test_cli_output_is_the_same_with_one_svd(name, command, tmp_path, monkeypatc
     one_svd = _stdout(argv)
     assert not calls
     assert with_split == one_svd
+
+
+# ---------------------------------------------------------------------------
+# Long joint-permutation periods: a split visits only the phases its joint cycles can fill
+
+
+def _stars_problem(leaves: tuple[int, ...]) -> dict:
+    """Planar stars under C1, the identity turning each star's leaves: L is the product of the leaf counts."""
+    names, edges, cycles = [], [], []
+    for i, count in enumerate(leaves):
+        tips = [f"l{i}_{j}" for j in range(count)]
+        names += [f"c{i}", *tips]
+        edges += [[f"c{i}", tip] for tip in tips]
+        cycles.append(f"({' '.join(tips)})")
+    return {"name": "stars", "dim": 2, "vertices": names, "edges": edges, "group": {"schoenflies": "C1"},
+            "type": {"Id": "".join(cycles)}, "seed": 3}
+
+
+def test_a_split_of_coprime_joint_cycles_does_not_spin(tmp_path, monkeypatch):
+    # 65 joints, L = 510510: visiting every phase k <= L / 2 took about a minute; 27 phases have columns
+    data = _stars_problem((2, 3, 5, 7, 11, 13, 17))
+    prob = parse_problem(data)
+    op, perm = prob.group.elements[0], prob.phi[0]
+    assert phase_period(op, perm) == 510510
+    eigenspace, calls = rigidity._eigenspace, []
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 2000:
+            raise AssertionError("the split visits too many phases")
+        return eigenspace(*args)
+
+    monkeypatch.setattr(rigidity, "_eigenspace", counted)
+    assert len(phase_split(prob.graph, op, perm)) == 27
+    path = tmp_path / "stars.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with_split = _stdout(["analyze", "--problem", str(path)])
+    assert len(calls) <= 2000
+    monkeypatch.setattr(symspace, "PHASE_MIN_COLUMNS", 10**9)
+    assert with_split == _stdout(["analyze", "--problem", str(path)])
+
+
+@pytest.mark.parametrize("name", [*sorted(PHASE_PROBLEMS), "stars"])
+def test_skipped_phases_have_no_columns(name):
+    # For every operation, a pair of phase k and cycle length s that the split skips has no lambda^s-eigenvector
+    # of M^s: L does not divide k s o, o the order of M.
+    prob = parse_problem(_stars_problem((2, 3, 5)) if name == "stars" else PHASE_PROBLEMS[name])
+    skipped = 0
+    for op, perm in zip(prob.group.elements, prob.phi.images):
+        order, lengths = element_order(op), {len(c) for c in perm.cycles(include_fixed=True)}
+        period = math.lcm(order, *lengths)
+        for k in range(period // 2 + 1):
+            for s in lengths:
+                if k * s * order % period:
+                    skipped += 1
+                    lam = np.exp(2j * np.pi * k * s / period)
+                    assert rigidity._eigenspace(np.linalg.matrix_power(op.matrix, s), lam).shape[1] == 0
+    assert skipped or name != "stars"  # the joint cycles of PHASE_PROBLEMS fill every phase

@@ -681,6 +681,16 @@ class TestSvg:
         assert text.count('<circle class="joint"') == 4
         assert text.count(">×2</text>") == 1
 
+    def test_camera_is_the_hand_written_turn(self):
+        # 30 degrees about the vertical axis, then 20 about the horizontal, entry by entry: the same bits
+        from symrig import svg
+
+        az, el = math.radians(30.0), math.radians(20.0)
+        rot_y = np.array([[math.cos(az), 0.0, math.sin(az)], [0.0, 1.0, 0.0], [-math.sin(az), 0.0, math.cos(az)]])
+        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(el), -math.sin(el)], [0.0, math.sin(el), math.cos(el)]])
+        assert svg._projection(3).tobytes() == (rot_x @ rot_y)[:2].tobytes()
+        assert svg._projection(2).tobytes() == np.eye(2).tobytes()
+
     def test_clusters_do_not_depend_on_the_chunking(self, monkeypatch):
         from symrig import _numeric, svg
 

@@ -6,7 +6,7 @@ import pytest
 from symrig import _numeric
 from symrig.classify import find_base_type
 from symrig.errors import LengthMismatch
-from symrig.problem import fixture_names, load_fixture
+from symrig.problem import fixture_names, load_fixture, parse_problem
 from symrig.symspace import config_space_basis, constraint_residual
 
 
@@ -43,3 +43,12 @@ def test_configurations_of_twice_the_joints_rejected():
     prob, _, basis, _ = _rows("k33_phi_a")
     with pytest.raises(LengthMismatch, match=f"got \\({2 * prob.graph.n}, {prob.dim}\\)"):
         constraint_residual(basis, np.zeros((2 * prob.graph.n, prob.dim)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_offset_that_overflows_is_an_infinite_residual():
+    # the mirror sends (0, 1e308) to (0, -1e308), which the type says is the joint's own spot: 2e308 away
+    prob = parse_problem({"dim": 2, "vertices": ["a", "b"], "edges": [["a", "b"]], "group": {"schoenflies": "Cs"},
+                          "type": {"s": "id"}})
+    basis = config_space_basis(prob.graph, prob.group, prob.phi)
+    assert constraint_residual(basis, np.array([[0.0, 1e308], [0.0, -1e308]])) == np.inf

@@ -26,11 +26,12 @@ the tree this file lives in:
   and large_3d generators build at workload seeds 1 to 5 (140 outputs, 653
   up to here), so the class-space basis of every generated class is
   printed somewhere;
-- `types`, `analyze` and `basis` on the seven groups of ORIENTED, each
+- `types`, `analyze` and `basis` on the ten groups of ORIENTED, each
   given an orientation parameter, as the complete graph on the orbit of a
-  generic point with `type: "auto"` (21 outputs, 674 in all), so that
+  generic point with `type: "auto"` (30 outputs, 683 in all), so that
   `axis`, `secondary_axis`, `mirror_angle_deg` and `mirror_normal` reach
-  the output.
+  the output, and the C, Ch, S, D, Dh and Dd families of 3D are built
+  turned into a frame.
 
 Run it in both trees and `diff` the two files: no output means every
 command printed the same bytes with the same exit code. A change meant to
@@ -79,6 +80,9 @@ ORIENTED = (  # (Schoenflies name, dim, params)
     ("Cs", 3, {"mirror_normal": [0, 0.6, 0.8]}),
     ("C5v", 2, {"mirror_angle_deg": 20}),
     ("D3d", 3, {"mirror_angle_deg": 10}),
+    ("C3h", 3, {"axis": [2, 1, 2]}),
+    ("S6", 3, {"axis": [0, 1, 1]}),
+    ("D3", 3, {"secondary_axis": [0, 1, 0]}),
 )
 ORIENTED_COMMANDS = (("types",), ("analyze",), ("basis",))
 GENERIC_POINT = (0.31, 0.17, 0.52)
