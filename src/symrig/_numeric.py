@@ -56,11 +56,6 @@ def block_rank(blocks, rtol: float = 1e-8):
     return int(rank) if rank.ndim == 0 else rank
 
 
-def numeric_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
-    """Number of singular values above rtol times the largest one."""
-    return block_rank([(np.asarray(matrix, dtype=float), 1)], rtol)
-
-
 def kernel_basis(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the right kernel, one vector per row.
 

@@ -231,4 +231,6 @@ def restrict_type(group: SymmetryGroup, phi: TypeAssignment, subgroup: SymmetryG
     """Restrict a type along a subgroup inclusion, matching elements by matrix."""
     if group.dim != subgroup.dim:
         raise DimensionMismatch("subgroup dimension differs")
+    if len(phi) != len(group):
+        raise LengthMismatch(f"type assigns {len(phi)} images for a group of order {len(group)}")
     return TypeAssignment(tuple(phi[group.index_of(op.matrix)] for op in subgroup.elements))

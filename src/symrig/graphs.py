@@ -48,18 +48,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Apply other first, then self: (self.compose(other))(i) = self(other(i))."""
-        if len(other) != len(self):
-            raise LengthMismatch(f"cannot compose permutations of lengths {len(self)} and {len(other)}")
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
@@ -88,7 +76,7 @@ class Graph:
 
     bars holds the edges once, sorted, as a read-only (|E|, 2) index array
     with u < v in each row; every per-bar array follows its row order.
-    index maps each label to its vertex, built once for parse_cycles and index_of.
+    index maps each label to its vertex, built once for parse_cycles.
     Built directly, it raises InvalidGraph unless n >= 1, the n labels are distinct
     and 0 <= u < v < n for each edge (u, v); make names the one fault it finds.
     """
@@ -110,8 +98,6 @@ class Graph:
 
     @staticmethod
     def make(n: int, edge_list, labels: tuple[str, ...] | None = None) -> "Graph":
-        if n < 1:
-            raise InvalidGraph("graph needs at least one vertex")
         if labels is None:
             labels = tuple(f"v{i + 1}" for i in range(n))
         if len(labels) != n or len(set(labels)) != n:
@@ -144,27 +130,12 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def degrees(self) -> list[int]:
-        adj = self.adjacency()
-        return [len(a) for a in adj]
-
-    def index_of(self, label: str) -> int:
-        if label not in self.index:
-            raise BadPermutation(f"unknown vertex name {label!r}")
-        return self.index[label]
 
 
 def bar_images(graph: Graph, images: np.ndarray) -> np.ndarray:

@@ -204,16 +204,8 @@ class SymmetryGroup:
             raise UnknownName(f"matrix is not an element of {self.name or 'group'}")
         return idx
 
-    def label_index(self, label: str) -> int:
-        if label not in self.labels:
-            raise UnknownName(f"no element labeled {label!r} in {self.name or 'group'}")
-        return self.labels.index(label)
-
     def multiply(self, i: int, j: int) -> int:
         return int(self.table[i, j])
-
-    def inverse_index(self, i: int) -> int:
-        return int(np.argmax(self.table[i] == 0))
 
     def __repr__(self) -> str:
         return f"SymmetryGroup({self.name or 'unnamed'}, dim={self.dim}, order={len(self)})"

@@ -42,11 +42,6 @@ class BruteForceTypes:
     types: tuple[TypeAssignment, ...]
     normalized: tuple[TypeAssignment, ...]
 
-    @property
-    def coincidence(self) -> tuple[Permutation, ...]:
-        """Automorphisms fixing the configuration: the identity's valid set."""
-        return self.valid_sets[0]
-
 
 def brute_force_type_search(
     graph: Graph,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ._numeric import chunks
-from .errors import UnsupportedDim
+from .errors import DimensionMismatch, UnsupportedDim
 from .graphs import COINCIDENT_JOINT_TOL, joint_matches
 from .groups import SymmetryGroup, fixed_subspace, rot3
 from .rigidity import Framework
@@ -76,6 +76,8 @@ def render_svg(
     Mirror overlays are drawn when a group is supplied: dashed lines in
     the plane, dashed projected outlines of the plane in space.
     """
+    if group is not None and group.dim != framework.dim:
+        raise DimensionMismatch(f"the framework is {framework.dim}d but the group acts in {group.dim}d")
     coords = framework.coords
     proj = _projection(framework.dim)
     flat = coords @ proj.T

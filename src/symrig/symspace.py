@@ -167,10 +167,15 @@ def class_is_empty(basis: ConfigSpaceBasis) -> tuple[bool, list[tuple[int, int]]
     return (len(offending) > 0, offending)
 
 
+def _check_count(value: int, name: str, least: int) -> None:
+    """Reject a value that is not an int >= least. A bool is an int to Python, but no count or seed."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise BadParam(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _rng(seed: int) -> random.Random:
     """The generator of a seed. Random would take -5 for 5 and accept a float, so only ints >= 0 pass."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise BadParam(f"seed must be an integer >= 0, got {seed!r}")
+    _check_count(seed, "seed", 0)
     return random.Random(seed)
 
 
@@ -225,8 +230,7 @@ def sample_config(basis: ConfigSpaceBasis, seed: int = 0, framework_tol: float =
 
 def draw_samples(basis: ConfigSpaceBasis, count: int, seed: int = 0, framework_tol: float = 1e-8) -> list[Framework]:
     """count frameworks from the stream of random.Random(seed), deterministic for a seed (an int >= 0)."""
-    if count < 1:
-        raise BadParam(f"count must be at least 1, got {count}")
+    _check_count(count, "count", 1)
     _numeric._check_tol(framework_tol)
     rng = _rng(seed)
     return [Framework(basis.graph, coords) for chunk in _draws(basis, rng, count, framework_tol) for coords in chunk]
@@ -286,8 +290,7 @@ def sym_generic_verdict(
     stack at a time by rigidity_verdicts, with the members and ranks that
     drawing and deciding them one at a time gives.
     """
-    if trials < 1:
-        raise BadParam(f"trials must be at least 1, got {trials}")
+    _check_count(trials, "trials", 1)
     _numeric._check_tol(rank_rtol, "rtol")  # an empty class neither ranks nor draws: both are checked here
     _numeric._check_tol(framework_tol)
     rng = _rng(seed)

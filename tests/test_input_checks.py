@@ -1,4 +1,5 @@
-"""Bad numbers on the command line, in problem files and in library tolerances, and the group validator's error class."""
+"""Bad numbers on the command line, in problem files and in library tolerances and counts, bad library
+inputs, and the group validator's error class."""
 
 import json
 import math
@@ -8,14 +9,16 @@ import numpy as np
 import pytest
 
 from symrig._numeric import kernel_basis
-from symrig.classify import enumerate_types, find_base_type, find_homomorphic_type, verify_type
+from symrig.classify import (TypeAssignment, enumerate_types, find_base_type, find_homomorphic_type, restrict_type,
+                             verify_type)
 from symrig.cli import main
-from symrig.errors import BadParam, InvalidGroup, ParseError, SymrigError
-from symrig.graphs import Graph
-from symrig.groups import OrthogonalOp, SymmetryGroup, rot2
+from symrig.errors import BadParam, DimensionMismatch, InvalidGroup, LengthMismatch, ParseError, SymrigError
+from symrig.graphs import Graph, Permutation
+from symrig.groups import OrthogonalOp, SymmetryGroup, rot2, schoenflies_group
 from symrig.oracle import exhaustive_generic_check, validate_group
 from symrig.problem import load_fixture, parse_problem, serialize_problem
 from symrig.rigidity import Framework, affine_span_dim, rigidity_verdict
+from symrig.svg import render_svg
 from symrig.symspace import config_space_basis, draw_samples, sample_config, sym_generic_verdict
 
 SUBCOMMANDS = (["analyze"], ["sample"], ["types"], ["basis"], ["empty-check"], ["svg"],
@@ -132,6 +135,29 @@ class TestLibraryTolerances:
     def test_a_zero_tolerance_is_taken(self):
         assert rigidity_verdict(K4_PLANE, rank_rtol=0.0).bar_count == 6
         assert np.array_equal(kernel_basis(np.zeros((2, 3)), 0.0), np.eye(3))
+
+
+class TestLibraryInputs:
+    # Each of these once failed with a bare TypeError, IndexError or ValueError, or took True for 1.
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "2", None])
+    @pytest.mark.parametrize("use", ["draw_samples", "sym_generic_verdict"])
+    def test_counts_are_ints_at_least_one(self, use, value):
+        name = "count" if use == "draw_samples" else "trials"
+        call = {"draw_samples": lambda: draw_samples(_basis(K33), value),
+                "sym_generic_verdict": lambda: sym_generic_verdict(_basis(K33), trials=value)}[use]
+        with pytest.raises(BadParam, match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
+            call()
+
+    def test_restrict_type_needs_one_image_per_element(self):
+        c4, c2 = schoenflies_group("C4", 2), schoenflies_group("C2", 2)
+        with pytest.raises(LengthMismatch, match="type assigns 1 images for a group of order 4"):
+            restrict_type(c4, TypeAssignment((Permutation.identity(2),)), c2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_render_svg_needs_the_group_of_the_framework_dimension(self, dim):
+        framework = Framework(Graph.make(2, [(0, 1)]), np.eye(2, dim))
+        with pytest.raises(DimensionMismatch, match=f"the framework is {dim}d but the group acts in {5 - dim}d"):
+            render_svg(framework, schoenflies_group("Cs", 5 - dim))
 
 
 class TestFileSeed:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import symrig
-from symrig import errors, groups, oracle, svg, symspace
+from symrig import _numeric, errors, graphs, groups, oracle, svg, symspace
 
 SOURCES = sorted((Path(symrig.__file__).parent).glob("*.py"))
 MOVED = {"validate_group": groups, "ORTHO_TOL": groups}
@@ -21,6 +21,11 @@ MOVED = {"validate_group": groups, "ORTHO_TOL": groups}
 # the fixed-subspace wrapper, now plain rows, and the drawing's own coincidence threshold.
 DELETED = ("OrbitStructure", "orbit_structure", "orbit_sample", "MEMBERSHIP_TOL", "orbit_block_basis", "_ball_point",
            "InconsistentPropagation", "NotAHomomorphism", "LinearSubspace", "COINCIDENCE_TOL")
+# Members that only tests called, each restated through the expression it wrapped.
+DELETED_MEMBERS = ((graphs.Permutation, "compose"), (graphs.Permutation, "inverse"), (graphs.Graph, "is_complete"),
+                   (graphs.Graph, "has_edge"), (graphs.Graph, "degrees"), (graphs.Graph, "index_of"),
+                   (groups.SymmetryGroup, "label_index"), (groups.SymmetryGroup, "inverse_index"),
+                   (_numeric, "numeric_rank"), (oracle.BruteForceTypes, "coincidence"))
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -103,6 +108,11 @@ def test_deleted_references_are_gone(name):
         assert not hasattr(module, name), module.__name__
     assert name not in symrig.__all__
     assert not hasattr(symrig, name)
+
+
+@pytest.mark.parametrize("owner, name", DELETED_MEMBERS, ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_deleted_members_are_gone(owner, name):
+    assert not hasattr(owner, name)
 
 
 @pytest.mark.parametrize("name", sorted(symrig._ORACLE_NAMES))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symrig._numeric import numeric_rank
+from symrig._numeric import block_rank
 from symrig.errors import InvalidFramework, UnsupportedDim
 from symrig.graphs import Graph
 from symrig.oracle import trivial_motion_basis
@@ -128,7 +128,7 @@ class TestTrivialDim:
         f = Framework(Graph.make(n, []), p)
         report = rigidity_verdict(f)
         assert report.affine_span_dim == span
-        assert report.trivial_dim == numeric_rank(trivial_motion_basis(f))
+        assert report.trivial_dim == block_rank([(trivial_motion_basis(f), 1)])
 
 
 class TestAffineSpan:
